@@ -233,6 +233,65 @@ type child struct {
 	done  chan error
 }
 
+// startChild starts the node process path with args. Its stderr goes to
+// dir/<name>.log; every stdout line is appended to that log as well and
+// relayed to out prefixed with the name, except the first "ready" line,
+// which closes c.ready instead. c.done receives the exit status only once
+// the relay has read stdout to EOF: exec.Cmd.Wait closes the pipe, so
+// waiting any earlier loses whatever the child printed last.
+func startChild(out io.Writer, dir, name, path string, args ...string) (*child, error) {
+	cmd := exec.Command(path, args...)
+	logf, err := os.Create(filepath.Join(dir, name+".log"))
+	if err != nil {
+		return nil, err
+	}
+	cmd.Stderr = logf
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		logf.Close()
+		return nil, err
+	}
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		logf.Close()
+		return nil, err
+	}
+	c := &child{name: name, cmd: cmd, stdin: stdin,
+		ready: make(chan struct{}), done: make(chan error, 1)}
+	if err := cmd.Start(); err != nil {
+		logf.Close()
+		return nil, fmt.Errorf("spawning %s: %w", name, err)
+	}
+	relayed := make(chan struct{})
+	//mars:sync per-child relay writes whole lines prefixed with the child's name; cross-child interleaving mirrors real process timing, which is the launcher's observable, not a seeded output
+	go func() {
+		defer close(relayed)
+		sc := bufio.NewScanner(stdout)
+		signaled := false
+		for sc.Scan() {
+			line := sc.Text()
+			fmt.Fprintln(logf, line)
+			if !signaled && strings.TrimSpace(line) == "ready" {
+				signaled = true
+				close(c.ready)
+				continue
+			}
+			fmt.Fprintf(out, "[%s] %s\n", name, line)
+		}
+		// A line too long to scan must not leave the child blocked on a
+		// full pipe: drain the rest so Wait can return.
+		io.Copy(io.Discard, stdout)
+	}()
+	//mars:sync one waiter per child, ordered after its relay's EOF, feeding a buffered done channel; consumers select on it explicitly, so ordering is enforced at the receive sites
+	go func() {
+		<-relayed
+		err := cmd.Wait()
+		logf.Close()
+		c.done <- err
+	}()
+	return c, nil
+}
+
 // runLauncher spawns the controller and every switch-group agent as
 // separate OS processes on loopback, supervises the handshake and the
 // run, and reduces the outcome to an exit code.
@@ -281,43 +340,7 @@ func runLauncher(scenarioPath, dir string, timeout time.Duration, withStream boo
 	fmt.Printf("mars-node: launcher dir=%s controller=%s groups=%d\n", dir, pm.Controller, len(pm.Groups))
 
 	spawn := func(name string, args ...string) (*child, error) {
-		cmd := exec.Command(self, args...)
-		logf, err := os.Create(filepath.Join(dir, name+".log"))
-		if err != nil {
-			return nil, err
-		}
-		cmd.Stderr = logf
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, err
-		}
-		c := &child{name: name, cmd: cmd, stdin: stdin,
-			ready: make(chan struct{}), done: make(chan error, 1)}
-		if err := cmd.Start(); err != nil {
-			return nil, fmt.Errorf("spawning %s: %w", name, err)
-		}
-		// Relay the child's stdout, watching for the readiness handshake.
-		//mars:sync per-child relay writes whole lines prefixed with the child's name; cross-child interleaving mirrors real process timing, which is the launcher's observable, not a seeded output
-		go func() {
-			sc := bufio.NewScanner(stdout)
-			signaled := false
-			for sc.Scan() {
-				line := sc.Text()
-				if !signaled && strings.TrimSpace(line) == "ready" {
-					signaled = true
-					close(c.ready)
-					continue
-				}
-				fmt.Printf("[%s] %s\n", name, line)
-			}
-		}()
-		//mars:sync one waiter per child feeding a buffered done channel; consumers select on it explicitly, so ordering is enforced at the receive sites
-		go func() { c.done <- cmd.Wait(); logf.Close() }()
-		return c, nil
+		return startChild(os.Stdout, dir, name, self, args...)
 	}
 
 	var children []*child

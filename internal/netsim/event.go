@@ -9,6 +9,22 @@ package netsim
 // in scheduling order (seq) so that runs are deterministic; the hand-rolled
 // heap below avoids container/heap's interface boxing, which allocated on
 // every schedule.
+//
+// Two of the three per-hop events have a constant delay: evEnqueue fires
+// SwitchProcDelay after it is scheduled and evPropagate PropDelay after.
+// Since the clock never runs backwards and stamps only grow, each of those
+// kinds is produced in (at, ord) order, so it needs no heap: the agenda
+// keeps one FIFO lane per kind. The lane invariant is that a lane holds
+// its events in (at, ord) order. An event joins its lane only if it does
+// not sort before the lane's tail; anything else (the other kinds, a
+// sharded shard's unit-major stamps that interleave units, a cross-shard
+// mailbox insert) goes to the binary heap. Popping takes the least of the
+// two lane heads and the heap top. Each structure yields its own events
+// in (at, ord) order and the order is total (ords are unique), so the
+// merged pop sequence is exactly the single-heap order, and every
+// dispatch — hence every digest — is unchanged.
+
+import "unsafe"
 
 type eventKind uint8
 
@@ -44,9 +60,9 @@ const (
 // same-timestamp events order by generating unit, then by the unit's own
 // scheduling order. Both halves are properties of the simulated system,
 // not of the execution: a shard receiving a mailbox event from another
-// shard inserts it with the ord it was generated with, so the heap's
+// shard inserts it with the ord it was generated with, so the agenda's
 // (at, ord) order is identical at any shard count. The classic
-// single-heap simulator stamps a bare global counter (its only unit is
+// single-agenda simulator stamps a bare global counter (its only unit is
 // 0), which is the historical (at, scheduling order) tie-break — and
 // exactly what a single-unit sharded run produces.
 type event struct {
@@ -59,25 +75,65 @@ type event struct {
 	fn   func()
 }
 
-// agenda is the simulator's pending-event set: a binary min-heap ordered
-// by (at, ord). Events are stored by value in a reusable backing
-// slice, so scheduling allocates only on capacity growth.
-type agenda struct {
-	h   []event
-	seq uint64
-	// peak tracks the high-water pending-event count for the MemStats-free
-	// memory accounting of the scale tier.
-	peak int
-}
+// eventBytes is the in-memory size of one agenda slot.
+const eventBytes = int64(unsafe.Sizeof(event{}))
 
-// before reports heap order: earlier time first, then ord — the packed
+// before reports agenda order: earlier time first, then ord — the packed
 // (generating unit, per-unit scheduling order) stamp, or the bare global
 // counter in the classic simulator.
-func (a *agenda) before(i, j int) bool {
-	if a.h[i].at != a.h[j].at {
-		return a.h[i].at < a.h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return a.h[i].ord < a.h[j].ord
+	return e.ord < o.ord
+}
+
+// Lane indexes: one FIFO lane per fixed-delay event kind.
+const (
+	laneEnqueue = iota
+	lanePropagate
+	numLanes
+)
+
+// lane is a FIFO of events in (at, ord) order. ev[head:] holds the pending
+// events; popping advances head, and appending reclaims the drained prefix
+// when the tail hits capacity, like the port queues, so the backing array
+// is reused and steady-state appends allocate nothing.
+type lane struct {
+	ev   []event
+	head int
+}
+
+// accepts reports whether e can join the lane without breaking its order.
+func (l *lane) accepts(e *event) bool {
+	return l.head == len(l.ev) || !e.before(&l.ev[len(l.ev)-1])
+}
+
+func (l *lane) append(e *event) {
+	if l.head > 0 && len(l.ev) == cap(l.ev) {
+		n := copy(l.ev, l.ev[l.head:])
+		clear(l.ev[n:])
+		l.ev = l.ev[:n]
+		l.head = 0
+	}
+	//mars:alloc TestNetsimStepAllocs the drained prefix is reclaimed above, so the lane array's capacity is reused
+	l.ev = append(l.ev, *e)
+}
+
+// agenda is the simulator's pending-event set: two fixed-delay FIFO lanes
+// plus a binary min-heap for everything else, all ordered by (at, ord).
+// Events are stored by value in reusable backing slices, so scheduling
+// allocates only on capacity growth. Heap sifts move events into a hole
+// rather than swapping pairs: one event copy per level instead of three.
+type agenda struct {
+	h     []event
+	lanes [numLanes]lane
+	seq   uint64
+	// n is the pending-event count across the heap and the lanes; peak
+	// tracks its high-water mark for the MemStats-free memory accounting
+	// of the scale tier.
+	n    int
+	peak int
 }
 
 func (a *agenda) push(e *event) {
@@ -90,61 +146,119 @@ func (a *agenda) push(e *event) {
 // sharded engine packs (generating unit, per-unit seq) into it, and
 // mailbox events arriving from another shard must keep theirs.
 func (a *agenda) pushStamped(e *event) {
+	a.n++
+	if a.n > a.peak {
+		a.peak = a.n
+	}
+	var l *lane
+	switch e.kind {
+	case evEnqueue:
+		l = &a.lanes[laneEnqueue]
+	case evPropagate:
+		l = &a.lanes[lanePropagate]
+	case evFunc, evHostArrive, evProcArrive, evTxDone, evStartTx:
+	}
+	if l != nil && l.accepts(e) {
+		l.append(e)
+		return
+	}
 	//mars:alloc TestNetsimStepAllocs the agenda array keeps its capacity across pops; steady state re-slices in place
 	a.h = append(a.h, *e)
-	if len(a.h) > a.peak {
-		a.peak = len(a.h)
-	}
-	// Sift up.
+	// Sift up: move parents down into the hole, then fill it once.
 	i := len(a.h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !a.before(i, parent) {
+		if !e.before(&a.h[parent]) {
 			break
 		}
-		a.h[i], a.h[parent] = a.h[parent], a.h[i]
+		a.h[i] = a.h[parent]
 		i = parent
 	}
+	a.h[i] = *e
 }
 
-func (a *agenda) schedule(at Time, fn func()) {
-	a.push(&event{at: at, kind: evFunc, fn: fn})
+// len returns the number of pending events, heap and lanes together.
+func (a *agenda) len() int { return a.n }
+
+// head returns the least pending event and where it lives (a lane index,
+// or -1 for the heap top), or nil when the agenda is empty.
+func (a *agenda) head() (*event, int) {
+	var min *event
+	src := -1
+	if len(a.h) > 0 {
+		min = &a.h[0]
+	}
+	for i := range a.lanes {
+		l := &a.lanes[i]
+		if l.head == len(l.ev) {
+			continue
+		}
+		if e := &l.ev[l.head]; min == nil || e.before(min) {
+			min, src = e, i
+		}
+	}
+	return min, src
 }
 
-func (a *agenda) empty() bool { return len(a.h) == 0 }
-
-func (a *agenda) next() event {
-	top := a.h[0]
+// pop removes the least pending event into *out if its time is at most
+// limit, and reports whether it did.
+func (a *agenda) pop(limit Time, out *event) bool {
+	min, src := a.head()
+	if min == nil || min.at > limit {
+		return false
+	}
+	*out = *min
+	a.n--
+	if src >= 0 {
+		l := &a.lanes[src]
+		l.ev[l.head].pkt = nil // release the packet reference
+		l.head++
+		if l.head == len(l.ev) {
+			l.ev = l.ev[:0]
+			l.head = 0
+		}
+		return true
+	}
 	n := len(a.h) - 1
-	a.h[0] = a.h[n]
+	last := a.h[n]
 	a.h[n] = event{} // release the packet/closure reference
 	a.h = a.h[:n]
-	// Sift down.
+	// Sift the last event down from the root: move the lesser child up
+	// into the hole until last fits, then fill it once.
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && a.before(l, smallest) {
-			smallest = l
-		}
-		if r < n && a.before(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		a.h[i], a.h[smallest] = a.h[smallest], a.h[i]
-		i = smallest
+		if r := c + 1; r < n && a.h[r].before(&a.h[c]) {
+			c = r
+		}
+		if !a.h[c].before(&last) {
+			break
+		}
+		a.h[i] = a.h[c]
+		i = c
 	}
-	return top
+	if i < n {
+		a.h[i] = last
+	}
+	return true
 }
-
-func (a *agenda) peek() Time { return a.h[0].at }
 
 // peekTime returns the earliest pending timestamp, if any.
 func (a *agenda) peekTime() (Time, bool) {
-	if len(a.h) == 0 {
-		return 0, false
+	if e, _ := a.head(); e != nil {
+		return e.at, true
 	}
-	return a.h[0].at, true
+	return 0, false
+}
+
+// capBytes is the memory held by the agenda's backing arrays.
+func (a *agenda) capBytes() int64 {
+	n := cap(a.h)
+	for i := range a.lanes {
+		n += cap(a.lanes[i].ev)
+	}
+	return int64(n) * eventBytes
 }

@@ -12,7 +12,7 @@ import (
 // conservative-lookahead barrier protocol (see DESIGN.md §"Sharded
 // engine"). The topology is partitioned into units (topology.Partition);
 // units are assigned round-robin to shards, and each shard owns its
-// units' switch state, event heap, RNG streams, and packet pool.
+// units' switch state, event agenda, RNG streams, and packet pool.
 //
 // Correctness rests on three facts:
 //
@@ -25,9 +25,10 @@ import (
 //     never delivers an event into a window that has already executed.
 //  3. Events are globally ordered by (time, generating unit, per-unit
 //     seq) — all three derived from the partition, not the shard count —
-//     and each shard's heap pops its local events in exactly that order.
-//     Mailbox merge order is irrelevant: the heap re-establishes the
-//     total order on insert.
+//     and each shard's agenda pops its local events in exactly that
+//     order. Mailbox merge order is irrelevant: an insert that sorts
+//     before its fixed-delay lane's tail goes to the agenda's heap, so
+//     the agenda re-establishes the total order on insert.
 //
 // Together these make the simulated trace — stats, packet IDs, RNG draws,
 // hook invocations per switch — invariant under the shard count, which
@@ -288,9 +289,9 @@ func (sh *Sharded) Run(until Time) Time {
 	return until
 }
 
-// minPending returns the earliest event time across all shard heaps.
-// Outboxes are empty here (exchange runs before each scan), so the heaps
-// hold the entire pending set.
+// minPending returns the earliest event time across all shard agendas.
+// Outboxes are empty here (exchange runs before each scan), so the
+// agendas hold the entire pending set.
 func (sh *Sharded) minPending() (Time, bool) {
 	var (
 		min Time
@@ -355,9 +356,9 @@ func (sh *Sharded) Close() {
 	sh.cmd, sh.res, sh.started = nil, nil, false
 }
 
-// exchange drains every shard's outboxes into the owning shards' heaps.
+// exchange drains every shard's outboxes into the owning shards' agendas.
 // Events keep their generation stamps, so insertion order cannot affect
-// the heap's (time, unit, seq) total order.
+// the agenda's (time, unit, seq) total order.
 func (sh *Sharded) exchange() {
 	for _, src := range sh.shards {
 		for d, box := range src.shard.outbox {
@@ -397,13 +398,12 @@ type MemEstimate struct {
 // path: it walks the packet pool and every owned port queue.
 func (s *Simulator) Mem() MemEstimate {
 	const (
-		eventBytes   = 64 // sizeof(event), padded
 		packetBytes  = 120
 		portBytes    = 80
 		runtimeBytes = 48
 	)
 	m := MemEstimate{
-		AgendaLen:     len(s.agenda.h),
+		AgendaLen:     s.agenda.len(),
 		AgendaPeak:    s.agenda.peak,
 		PacketsPooled: len(s.free),
 		PacketsLive:   int(s.pktAlloc) - len(s.free),
@@ -434,7 +434,7 @@ func (s *Simulator) Mem() MemEstimate {
 	}
 	statsBytes := int64(len(s.Stats.LinkBytes))*8 + int64(len(s.Stats.LinkDirBytes))*16
 	fixed := int64(len(s.switches))*runtimeBytes + portCount*portBytes + queueBytes + statsBytes
-	m.EstBytes = fixed + int64(cap(s.agenda.h))*eventBytes + s.pktAlloc*perPkt
+	m.EstBytes = fixed + s.agenda.capBytes() + s.pktAlloc*perPkt
 	m.PeakBytes = fixed + int64(m.AgendaPeak)*eventBytes + s.pktAlloc*perPkt
 	return m
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"mars/internal/topology"
@@ -180,7 +181,7 @@ type Simulator struct {
 	// len(free) it gives the live-packet estimate without runtime.MemStats.
 	pktAlloc int64
 	// shard is non-nil when this simulator is one shard of a Sharded
-	// engine (sharded.go); nil keeps the classic single-heap behavior,
+	// engine (sharded.go); nil keeps the classic single-agenda behavior,
 	// byte-identical to the historical simulator.
 	shard *shardCtx
 }
@@ -259,8 +260,8 @@ func (s *Simulator) Stop() { s.stopped = true }
 // Run processes events until the agenda empties or until time `until`
 // passes (events after `until` remain queued). It returns the final time.
 func (s *Simulator) Run(until Time) Time {
-	for !s.stopped && !s.agenda.empty() && s.agenda.peek() <= until {
-		e := s.agenda.next()
+	var e event
+	for !s.stopped && s.agenda.pop(until, &e) {
 		s.now = e.at
 		s.dispatch(e)
 	}
@@ -272,8 +273,8 @@ func (s *Simulator) Run(until Time) Time {
 
 // RunAll processes events until the agenda empties.
 func (s *Simulator) RunAll() Time {
-	for !s.stopped && !s.agenda.empty() {
-		e := s.agenda.next()
+	var e event
+	for !s.stopped && s.agenda.pop(math.MaxInt64, &e) {
 		s.now = e.at
 		s.dispatch(e)
 	}
@@ -284,27 +285,26 @@ func (s *Simulator) RunAll() Time {
 // strictly below end and returns how many it dispatched. It is the
 // per-shard inner loop of the Sharded engine's barrier protocol
 // (sharded.go): the coordinator guarantees no event below end can still
-// arrive from another shard, so draining the local heap up to end is
+// arrive from another shard, so draining the local agenda up to end is
 // exactly the sequential order. Stop is not honored here — a sharded run
 // is bounded by its Run(until) horizon instead.
 func (s *Simulator) RunShardWindow(end Time) int64 {
-	var n int64
-	for {
-		t, ok := s.agenda.peekTime()
-		if !ok || t >= end {
-			return n
-		}
-		e := s.agenda.next()
+	var (
+		n int64
+		e event
+	)
+	for s.agenda.pop(end-1, &e) {
 		s.now = e.at
 		s.dispatch(e)
 		n++
 	}
+	return n
 }
 
 // unitShift packs the generating unit into an event's ord stamp above the
 // per-unit sequence counter: ord = unit<<unitShift | seq. 48 bits leave
 // room for ~2.8e14 events per unit per run, orders of magnitude beyond any
-// sweep, while keeping heap comparisons a single uint64 compare.
+// sweep, while keeping agenda comparisons a single uint64 compare.
 const unitShift = 48
 
 // push stamps and routes one event. The classic simulator stamps a global
