@@ -154,7 +154,7 @@ func BenchmarkAblationSBFL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.RunAblationSBFL(1, int64(100+i))
+		experiments.RunAblationSBFL(experiments.EngineOptions{}, 1, int64(100+i))
 	}
 }
 
@@ -163,7 +163,7 @@ func BenchmarkAblationFSMMaxLen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.RunAblationFSMMaxLen(1, int64(100+i))
+		experiments.RunAblationFSMMaxLen(experiments.EngineOptions{}, 1, int64(100+i))
 	}
 }
 

@@ -107,7 +107,7 @@ func main() {
 
 	runners := map[string]func(){
 		"table1": func() {
-			fmt.Print(experiments.RunTable1With(opts, *trials, *seed).Render())
+			fmt.Print(experiments.RunTable1(opts, *trials, *seed).Render())
 		},
 		"fig2": func() {
 			fmt.Print(experiments.RunFig2(*seed).Render())
@@ -125,7 +125,7 @@ func main() {
 			fmt.Print(experiments.RunFig8(*seed, 30, 1200).Render())
 		},
 		"fig9": func() {
-			fmt.Print(experiments.RunFig9With(opts, *seed).Render())
+			fmt.Print(experiments.RunFig9(opts, *seed).Render())
 		},
 		"fig10": func() {
 			fmt.Print(experiments.RunFig10().Render())
@@ -137,7 +137,7 @@ func main() {
 			fmt.Print(experiments.RunPathIDMemory().Render())
 		},
 		"scale": func() {
-			fmt.Print(experiments.RunScaleWith(opts, []int{4, 6, 8}).Render())
+			fmt.Print(experiments.RunScale(opts, []int{4, 6, 8}).Render())
 			// The sharded scale trial: simulated outcome on stdout
 			// (invariant under -shards, diffed by CI), throughput and
 			// per-shard memory on stderr.
@@ -165,18 +165,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, res.TimingLine())
 		},
 		"ctrlchan": func() {
-			fmt.Print(experiments.RunCtrlChanWith(opts, *trials/2+1, *seed).Render())
+			fmt.Print(experiments.RunCtrlChan(opts, *trials/2+1, *seed).Render())
 		},
 		"gray": func() {
-			fmt.Print(experiments.RunGrayWith(opts, *trials, *seed).Render())
+			fmt.Print(experiments.RunGray(opts, *trials, *seed).Render())
 		},
 		"overhead": func() {
-			fmt.Print(experiments.RunOverheadWith(opts, *trials, *seed).Render())
+			fmt.Print(experiments.RunOverhead(opts, *trials, *seed).Render())
 		},
 		"perf": func() {
 			// JSON (the BENCH_perf.json format) on stdout; the human
 			// summary goes to stderr so redirection stays machine-readable.
-			res := experiments.RunPerfWith(opts, *trials/4+1, *seed)
+			res := experiments.RunPerf(opts, *trials/4+1, *seed)
 			res.AddScale(experiments.DefaultScaleTrialConfig(*arity, *shards, *seed))
 			res.AddStream(experiments.DefaultStreamTrialConfig(*arity, *shards, *seed))
 			dp, err := deploy.PerfSection(deploy.DefaultScenario())
@@ -189,16 +189,16 @@ func main() {
 			fmt.Fprint(os.Stderr, res.Render())
 		},
 		"ablation-sbfl": func() {
-			fmt.Print(experiments.RunAblationSBFLWith(opts, *trials/2+1, *seed).Render())
+			fmt.Print(experiments.RunAblationSBFL(opts, *trials/2+1, *seed).Render())
 		},
 		"ablation-fsmlen": func() {
-			fmt.Print(experiments.RunAblationFSMMaxLenWith(opts, *trials/2+1, *seed).Render())
+			fmt.Print(experiments.RunAblationFSMMaxLen(opts, *trials/2+1, *seed).Render())
 		},
 		"ablation-miner": func() {
-			fmt.Print(experiments.RunAblationMinerWith(opts, *trials/4+1, *seed).Render())
+			fmt.Print(experiments.RunAblationMiner(opts, *trials/4+1, *seed).Render())
 		},
 		"ablation-cause": func() {
-			fmt.Print(experiments.RunAblationCauseAccuracyWith(opts, *trials/2+1, *seed).Render())
+			fmt.Print(experiments.RunAblationCauseAccuracy(opts, *trials/2+1, *seed).Render())
 		},
 	}
 	order := []string{"fig2", "fig3", "fig5", "fig7", "fig8", "table1", "fig9",

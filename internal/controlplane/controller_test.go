@@ -31,7 +31,7 @@ func newEnv(t *testing.T, seed int64) *env {
 	prog := dataplane.New(dcfg, ft.Topology, table, nil)
 	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
 	sim := netsim.New(ft.Topology, router, prog, netsim.DefaultConfig(), seed)
-	ctrl := New(DefaultConfig(), sim, prog)
+	ctrl := NewWithChannel(DefaultConfig(), sim, prog, nil)
 	prog.Notifier = ctrl
 	ctrl.Start()
 	return &env{ft: ft, sim: sim, prog: prog, ctrl: ctrl}

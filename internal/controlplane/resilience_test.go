@@ -48,7 +48,7 @@ func TestZeroEdgeSwitchTopology(t *testing.T) {
 	}
 	prog := dataplane.New(dataplane.DefaultProgramConfig(), topo, nil, nil)
 	sim := netsim.New(topo, nil, prog, netsim.DefaultConfig(), 1)
-	ctrl := New(DefaultConfig(), sim, prog)
+	ctrl := NewWithChannel(DefaultConfig(), sim, prog, nil)
 	if n := len(ctrl.EdgeSwitches()); n != 0 {
 		t.Fatalf("edge switches = %d, want 0", n)
 	}

@@ -236,12 +236,6 @@ func (ch *Channel) Loss(d Direction) float64 {
 	return cfg.Loss
 }
 
-// SetDirConfig replaces one direction's whole fault model.
-func (ch *Channel) SetDirConfig(d Direction, cfg DirConfig) {
-	c, _ := ch.dir(d)
-	*c = cfg
-}
-
 // Send submits a message in direction d; deliver runs when (and if) the
 // message arrives. A perfect direction delivers synchronously before Send
 // returns; otherwise delivery is scheduled on the event heap after the

@@ -6,7 +6,6 @@ import (
 
 	"mars/internal/faults"
 	"mars/internal/fsm"
-	"mars/internal/harness"
 	"mars/internal/metrics"
 	"mars/internal/rca"
 	"mars/internal/sbfl"
@@ -42,25 +41,15 @@ func (r *AblationResult) Render() string {
 // never touch the shared result cache: the variant knobs live outside
 // TrialConfig, so identical keys could mean different computations.
 func runMARSVariant(opts EngineOptions, trials int, baseSeed int64, label string, mk func() *marsSystem) metrics.Localization {
-	plan := opts.plan()
-	var (
-		tcs []TrialConfig
-		ts  []harness.Trial
-	)
+	m := &trialMatrix[faults.Kind]{}
 	for _, kind := range faults.Kinds() {
 		for i := 0; i < trials; i++ {
-			seed := plan.TrialSeed(baseSeed, int(kind), i)
-			tc := DefaultTrialConfig(seed, kind)
-			tc.CtrlSeed = plan.CtrlChanSeed(seed)
-			tcs = append(tcs, tc)
-			ts = append(ts, harness.Trial{
-				Index: len(ts), Seed: seed,
-				Label: fmt.Sprintf("ablation/%s/%s/t%d", label, kind, i),
-			})
+			tc := seededConfig(baseSeed, int(kind), i, kind)
+			m.add(kind, tc, fmt.Sprintf("ablation/%s/%s/t%d", label, kind, i))
 		}
 	}
-	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return runSystemTrial(mk(), tcs[tr.Index])
+	results := runMatrix(opts, m, func(_ faults.Kind, tc TrialConfig) TrialResult {
+		return runSystemTrial(mk(), tc)
 	})
 	var loc metrics.Localization
 	for _, r := range results {
@@ -71,12 +60,7 @@ func runMARSVariant(opts EngineOptions, trials int, baseSeed int64, label string
 
 // RunAblationSBFL compares SBFL scoring formulas (relative risk is the
 // paper's choice).
-func RunAblationSBFL(trials int, baseSeed int64) *AblationResult {
-	return RunAblationSBFLWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunAblationSBFLWith is RunAblationSBFL on configured engine options.
-func RunAblationSBFLWith(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
+func RunAblationSBFL(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
 	out := &AblationResult{Title: "Ablation: SBFL formula"}
 	for _, name := range []string{"relative-risk", "ochiai", "tarantula", "jaccard", "dstar"} {
 		formula := sbfl.Formulas()[name]
@@ -90,12 +74,7 @@ func RunAblationSBFLWith(opts EngineOptions, trials int, baseSeed int64) *Ablati
 
 // RunAblationFSMMaxLen compares culprit pattern length caps (MARS uses 2:
 // switches and links).
-func RunAblationFSMMaxLen(trials int, baseSeed int64) *AblationResult {
-	return RunAblationFSMMaxLenWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunAblationFSMMaxLenWith is RunAblationFSMMaxLen on configured options.
-func RunAblationFSMMaxLenWith(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
+func RunAblationFSMMaxLen(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
 	out := &AblationResult{Title: "Ablation: FSM max pattern length"}
 	for _, maxLen := range []int{1, 2, 3} {
 		maxLen := maxLen
@@ -109,12 +88,7 @@ func RunAblationFSMMaxLenWith(opts EngineOptions, trials int, baseSeed int64) *A
 
 // RunAblationMiner confirms miner choice does not change results (they
 // return identical pattern sets), only runtime.
-func RunAblationMiner(trials int, baseSeed int64) *AblationResult {
-	return RunAblationMinerWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunAblationMinerWith is RunAblationMiner on configured engine options.
-func RunAblationMinerWith(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
+func RunAblationMiner(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
 	out := &AblationResult{Title: "Ablation: FSM algorithm (results must match)"}
 	for _, name := range []string{"PrefixSpan", "GSP", "CM-SPADE"} {
 		m := fsm.ByName(name)
@@ -129,13 +103,7 @@ func RunAblationMinerWith(opts EngineOptions, trials int, baseSeed int64) *Ablat
 // RunAblationCauseAccuracy scores MARS with the strict cause-matching rule
 // (the diagnosed cause class must equal the injected class, in addition to
 // the location).
-func RunAblationCauseAccuracy(trials int, baseSeed int64) *AblationResult {
-	return RunAblationCauseAccuracyWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunAblationCauseAccuracyWith is RunAblationCauseAccuracy on configured
-// engine options.
-func RunAblationCauseAccuracyWith(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
+func RunAblationCauseAccuracy(opts EngineOptions, trials int, baseSeed int64) *AblationResult {
 	out := &AblationResult{Title: "Ablation: location-only vs location+cause matching"}
 	for _, strict := range []bool{false, true} {
 		strict := strict

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mars/internal/faults"
-	"mars/internal/harness"
 	"mars/internal/metrics"
 	"mars/internal/netsim"
 )
@@ -44,63 +43,45 @@ type CtrlChanResult struct {
 	Rows   []CtrlChanRow
 }
 
-// RunCtrlChan sweeps control-channel loss with the default engine options.
-func RunCtrlChan(trials int, baseSeed int64) *CtrlChanResult {
-	return RunCtrlChanWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunCtrlChanWith sweeps control-channel loss over the Table 1 fault suite
-// on the harness. Seeds derive exactly as in RunTable1, so every sweep
-// point faces the same fault sequence; per-row aggregation walks results
-// in the historical (loss, mode, fault, trial) nesting order, keeping the
-// whole experiment deterministic under a fixed base seed and any worker
-// count.
-func RunCtrlChanWith(opts EngineOptions, trials int, baseSeed int64) *CtrlChanResult {
-	plan := opts.plan()
+// RunCtrlChan sweeps control-channel loss over the Table 1 fault suite on
+// the harness. Seeds derive exactly as in RunTable1, so every sweep point
+// faces the same fault sequence; per-row aggregation walks results in the
+// historical (loss, mode, fault, trial) nesting order, keeping the whole
+// experiment deterministic under a fixed base seed and any worker count.
+func RunCtrlChan(opts EngineOptions, trials int, baseSeed int64) *CtrlChanResult {
 	res := &CtrlChanResult{Trials: trials}
-	var (
-		tcs   []TrialConfig
-		rowOf []int
-		ts    []harness.Trial
-	)
+	m := &trialMatrix[int]{} // unit: row index
 	for _, loss := range CtrlChanLosses {
 		for _, retry := range []bool{true, false} {
 			res.Rows = append(res.Rows, CtrlChanRow{Loss: loss, Retry: retry})
 			row := len(res.Rows) - 1
+			mode := "retry"
+			if !retry {
+				mode = "no-retry"
+			}
 			for _, kind := range faults.Kinds() {
 				for t := 0; t < trials; t++ {
-					seed := plan.TrialSeed(baseSeed, int(kind), t)
-					tc := DefaultTrialConfig(seed, kind)
-					tc.CtrlSeed = plan.CtrlChanSeed(seed)
+					tc := seededConfig(baseSeed, int(kind), t, kind)
 					tc.CtrlLossy = true
 					tc.CtrlLoss = loss
 					tc.CtrlNoRetry = !retry
-					tcs = append(tcs, tc)
-					rowOf = append(rowOf, row)
-					mode := "retry"
-					if !retry {
-						mode = "no-retry"
-					}
-					ts = append(ts, harness.Trial{
-						Index: len(ts), Seed: seed,
-						Label: fmt.Sprintf("ctrlchan/%.0f%%/%s/%s/t%d", 100*loss, mode, kind, t),
-					})
+					m.add(row, tc, fmt.Sprintf("ctrlchan/%.0f%%/%s/%s/t%d", 100*loss, mode, kind, t))
 				}
 			}
 		}
 	}
-	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return opts.runTrial(SysMARS, tcs[tr.Index])
+	results := runMatrix(opts, m, func(_ int, tc TrialConfig) TrialResult {
+		return opts.runTrial(SysMARS, tc)
 	})
 	latSum := make([]netsim.Time, len(res.Rows))
 	for i, r := range results {
-		row := &res.Rows[rowOf[i]]
+		row := &res.Rows[m.units[i]]
 		row.Loc.Add(r.Rank)
 		row.Diagnoses += r.Diagnoses
 		row.Partial += r.PartialDiagnoses
 		if r.DiagDetected {
 			row.Detected++
-			latSum[rowOf[i]] += r.DiagLatency
+			latSum[m.units[i]] += r.DiagLatency
 		}
 	}
 	for i := range res.Rows {

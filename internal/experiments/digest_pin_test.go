@@ -58,7 +58,7 @@ const pinTrials = 1
 const pinSeed = 1000
 
 func table1Digest() string {
-	res := RunTable1With(EngineOptions{}, pinTrials, pinSeed)
+	res := RunTable1(EngineOptions{}, pinTrials, pinSeed)
 	h := sha256.New()
 	io.WriteString(h, res.Render())
 	for _, kind := range faults.Kinds() {
@@ -70,7 +70,7 @@ func table1Digest() string {
 }
 
 func ctrlChanDigest() string {
-	res := RunCtrlChanWith(EngineOptions{}, pinTrials, pinSeed)
+	res := RunCtrlChan(EngineOptions{}, pinTrials, pinSeed)
 	h := sha256.New()
 	io.WriteString(h, res.Render())
 	for _, row := range res.Rows {
@@ -82,7 +82,7 @@ func ctrlChanDigest() string {
 }
 
 func overheadDigest() string {
-	res := RunOverheadWith(EngineOptions{}, pinTrials, pinSeed)
+	res := RunOverhead(EngineOptions{}, pinTrials, pinSeed)
 	h := sha256.New()
 	io.WriteString(h, res.Render())
 	for _, row := range res.Rows {
@@ -94,7 +94,7 @@ func overheadDigest() string {
 }
 
 func fig9Digest() string {
-	res := RunFig9With(EngineOptions{}, pinSeed)
+	res := RunFig9(EngineOptions{}, pinSeed)
 	h := sha256.New()
 	io.WriteString(h, res.Render())
 	for _, row := range res.Rows {
@@ -104,7 +104,7 @@ func fig9Digest() string {
 }
 
 func grayDigest() string {
-	res := RunGrayWith(EngineOptions{}, pinTrials, pinSeed)
+	res := RunGray(EngineOptions{}, pinTrials, pinSeed)
 	h := sha256.New()
 	io.WriteString(h, res.Render())
 	for _, sc := range GrayScenarios() {
@@ -127,11 +127,11 @@ func ablationDigest(res *AblationResult) string {
 }
 
 func ablationFSMLenDigest() string {
-	return ablationDigest(RunAblationFSMMaxLenWith(EngineOptions{}, pinTrials, pinSeed))
+	return ablationDigest(RunAblationFSMMaxLen(EngineOptions{}, pinTrials, pinSeed))
 }
 
 func ablationCauseDigest() string {
-	return ablationDigest(RunAblationCauseAccuracyWith(EngineOptions{}, pinTrials, pinSeed))
+	return ablationDigest(RunAblationCauseAccuracy(EngineOptions{}, pinTrials, pinSeed))
 }
 
 func scaleTrialDigest() string {

@@ -1,33 +1,23 @@
 package experiments
 
 import (
+	"mars/internal/faults"
 	"mars/internal/harness"
 )
 
 // EngineOptions configures how a trial-based driver schedules its matrix
 // on the harness. The zero value reproduces the historical sequential
-// drivers bit for bit: legacy seed plan, GOMAXPROCS workers (results are
-// byte-identical for any worker count), shared result cache enabled.
+// drivers bit for bit: GOMAXPROCS workers (results are byte-identical for
+// any worker count), shared result cache enabled.
 type EngineOptions struct {
 	// Workers bounds the harness worker pool (<= 0: runtime.GOMAXPROCS).
 	Workers int
 	// Progress receives per-trial completion callbacks (may be nil).
 	Progress harness.Progress
-	// Plan derives trial and control-channel seeds; nil means
-	// harness.LegacyPlan, the formula all recorded EXPERIMENTS.md numbers
-	// use.
-	Plan harness.SeedPlan
 	// DisableCache bypasses the shared (system, config) result cache.
 	// Determinism tests set it so a second run re-executes trials instead
 	// of echoing memoized results.
 	DisableCache bool
-}
-
-func (o EngineOptions) plan() harness.SeedPlan {
-	if o.Plan == nil {
-		return harness.LegacyPlan{}
-	}
-	return o.Plan
 }
 
 func (o EngineOptions) config() harness.Config {
@@ -67,13 +57,41 @@ func (o EngineOptions) runTrial(sys SystemKind, tc TrialConfig) TrialResult {
 	return r
 }
 
-// mustRun drives the harness over a trial list and panics on the first
-// trial failure: experiment drivers have no error path to their callers,
-// and a matrix with a dead trial would aggregate into meaningless numbers.
-// The panic payload is the harness's joined *TrialError chain, which names
-// exactly which trials died and why.
-func mustRun(opts EngineOptions, trials []harness.Trial, fn func(harness.Trial) TrialResult) []TrialResult {
-	results, err := harness.Run(opts.config(), trials, fn)
+// seededConfig returns the default configuration of trial t for fault
+// kind, seeded from baseSeed by harness.LegacyPlan at fault-kind index
+// kindIdx — the one seed formula behind every recorded EXPERIMENTS.md
+// number. Drivers pass int(kind) unless they need a seed range of their
+// own.
+func seededConfig(baseSeed int64, kindIdx, t int, kind faults.Kind) TrialConfig {
+	return DefaultTrialConfig(harness.LegacyPlan{}.TrialSeed(baseSeed, kindIdx, t), kind)
+}
+
+// trialMatrix is a driver's trial list: trial i runs unit units[i] under
+// config tcs[i]. The enumeration order is the aggregation order, which is
+// what keeps every driver's output byte-identical for any worker count.
+type trialMatrix[U any] struct {
+	units  []U
+	tcs    []TrialConfig
+	trials []harness.Trial
+}
+
+// add appends one trial of unit u under tc.
+func (m *trialMatrix[U]) add(u U, tc TrialConfig, label string) {
+	m.units = append(m.units, u)
+	m.tcs = append(m.tcs, tc)
+	m.trials = append(m.trials, harness.Trial{Index: len(m.trials), Seed: tc.Seed, Label: label})
+}
+
+// runMatrix drives the harness over m, calling fn per trial, and panics on
+// the first trial failure: experiment drivers have no error path to their
+// callers, and a matrix with a dead trial would aggregate into meaningless
+// numbers. The panic payload is the harness's joined *TrialError chain,
+// which names exactly which trials died and why. Results come back in
+// m's order.
+func runMatrix[U, R any](opts EngineOptions, m *trialMatrix[U], fn func(U, TrialConfig) R) []R {
+	results, err := harness.Run(opts.config(), m.trials, func(tr harness.Trial) R {
+		return fn(m.units[tr.Index], m.tcs[tr.Index])
+	})
 	if err != nil {
 		panic(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"mars/internal/dataplane"
 	"mars/internal/faults"
-	"mars/internal/harness"
 	"mars/internal/metrics"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
@@ -570,44 +569,23 @@ type Fig9Result struct {
 	Rows []Fig9Row
 }
 
-// RunFig9 measures overhead with the default engine options.
-func RunFig9(baseSeed int64) *Fig9Result {
-	return RunFig9With(EngineOptions{}, baseSeed)
-}
-
-// RunFig9With measures overhead in the same Table 1 scenarios: telemetry
+// RunFig9 measures overhead in the same Table 1 scenarios: telemetry
 // bytes are extra in-band header bytes crossing links; diagnosis bytes are
 // control-channel exchanges. One trial per fault kind per system — the
-// SeedPlan's trial-0 seeds, i.e. exactly the scenarios Table 1 already
-// ran, so when RunTable1 preceded this in the same process (as in
-// `mars-bench -exp all`), every trial is recalled from the shared result
-// cache instead of re-simulated.
-func RunFig9With(opts EngineOptions, baseSeed int64) *Fig9Result {
-	plan := opts.plan()
-	type unit struct {
-		sys  SystemKind
-		kind faults.Kind
-	}
-	var (
-		units []unit
-		tcs   []TrialConfig
-		ts    []harness.Trial
-	)
+// trial-0 seeds, i.e. exactly the scenarios Table 1 already ran, so when
+// RunTable1 preceded this in the same process (as in `mars-bench -exp
+// all`), every trial is recalled from the shared result cache instead of
+// re-simulated.
+func RunFig9(opts EngineOptions, baseSeed int64) *Fig9Result {
+	m := &trialMatrix[SystemKind]{}
 	for _, sys := range Systems() {
 		for _, kind := range faults.Kinds() {
-			seed := plan.TrialSeed(baseSeed, int(kind), 0)
-			tc := DefaultTrialConfig(seed, kind)
-			tc.CtrlSeed = plan.CtrlChanSeed(seed)
-			units = append(units, unit{sys, kind})
-			tcs = append(tcs, tc)
-			ts = append(ts, harness.Trial{
-				Index: len(ts), Seed: seed,
-				Label: fmt.Sprintf("fig9/%s/%s", sys, kind),
-			})
+			tc := seededConfig(baseSeed, int(kind), 0, kind)
+			m.add(sys, tc, fmt.Sprintf("fig9/%s/%s", sys, kind))
 		}
 	}
-	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return opts.runTrial(units[tr.Index].sys, tcs[tr.Index])
+	results := runMatrix(opts, m, func(sys SystemKind, tc TrialConfig) TrialResult {
+		return opts.runTrial(sys, tc)
 	})
 	out := &Fig9Result{}
 	var tel, diag, total float64
@@ -617,9 +595,9 @@ func RunFig9With(opts EngineOptions, baseSeed int64) *Fig9Result {
 		diag += float64(r.DiagnosisBytes)
 		total += float64(r.TotalLinkBytes)
 		n++
-		if i+1 == len(results) || units[i+1].sys != units[i].sys {
+		if i+1 == len(results) || m.units[i+1] != m.units[i] {
 			out.Rows = append(out.Rows, Fig9Row{
-				System:         units[i].sys,
+				System:         m.units[i],
 				TelemetryBytes: tel / float64(n),
 				DiagnosisBytes: diag / float64(n),
 				PctOfTraffic:   100 * (tel + diag) / total,

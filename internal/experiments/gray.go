@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mars/internal/faults"
-	"mars/internal/harness"
 	"mars/internal/metrics"
 	"mars/internal/netsim"
 	"mars/internal/rca"
@@ -108,33 +107,23 @@ type grayOutcome struct {
 	Detected bool
 }
 
-// RunGray runs the gray suite with default engine options.
-func RunGray(trials int, baseSeed int64) *GrayResult {
-	return RunGrayWith(EngineOptions{}, trials, baseSeed)
-}
-
 // grayKindIndex offsets the seed-plan fault index so gray seeds never
 // collide with the Table 1 kinds (0..4) or the ctrlchan sweeps.
 const grayKindIndex = 100
 
-// RunGrayWith runs the gray/correlated/churn suite on the harness: MARS
-// only, every scenario in both analyzer modes, scored against the episode
+// RunGray runs the gray/correlated/churn suite on the harness: MARS only,
+// every scenario in both analyzer modes, scored against the episode
 // ground truth (roots only — consequences are the distractors). Both
 // modes of a trial share one seed, so they face the identical episode and
 // the grid isolates the analyzer change. Results aggregate in declaration
 // order and are byte-identical for any worker count.
-func RunGrayWith(opts EngineOptions, trials int, baseSeed int64) *GrayResult {
-	plan := opts.plan()
+func RunGray(opts EngineOptions, trials int, baseSeed int64) *GrayResult {
 	scens := GrayScenarios()
 	type unit struct {
 		scen int
 		mode GrayMode
 	}
-	var (
-		units []unit
-		tcs   []TrialConfig
-		ts    []harness.Trial
-	)
+	m := &trialMatrix[unit]{}
 	res := &GrayResult{
 		Trials: trials,
 		Cells:  make(map[string]map[GrayMode]*GrayCell),
@@ -145,31 +134,20 @@ func RunGrayWith(opts EngineOptions, trials int, baseSeed int64) *GrayResult {
 			res.Cells[sc.Name][mode] = &GrayCell{}
 		}
 		for t := 0; t < trials; t++ {
-			seed := plan.TrialSeed(baseSeed, grayKindIndex+si, t)
-			tc := DefaultTrialConfig(seed, faults.SilentDrop)
-			tc.CtrlSeed = plan.CtrlChanSeed(seed)
+			tc := seededConfig(baseSeed, grayKindIndex+si, t, faults.SilentDrop)
 			// FaultStart separates detections from false alarms; use the
 			// episode's earliest window.
 			tc.FaultStart, tc.FaultDur = scheduleWindow(sc.Schedule)
 			for _, mode := range GrayModes() {
-				units = append(units, unit{si, mode})
-				tcs = append(tcs, tc)
-				ts = append(ts, harness.Trial{
-					Index: len(ts), Seed: seed,
-					Label: fmt.Sprintf("gray/%s/%s/t%d", sc.Name, mode, t),
-				})
+				m.add(unit{si, mode}, tc, fmt.Sprintf("gray/%s/%s/t%d", sc.Name, mode, t))
 			}
 		}
 	}
-	outcomes, err := harness.Run(opts.config(), ts, func(tr harness.Trial) grayOutcome {
-		u := units[tr.Index]
-		return runGrayTrial(tcs[tr.Index], scens[u.scen].Schedule, u.mode == GrayCompound)
+	outcomes := runMatrix(opts, m, func(u unit, tc TrialConfig) grayOutcome {
+		return runGrayTrial(tc, scens[u.scen].Schedule, u.mode == GrayCompound)
 	})
-	if err != nil {
-		panic(err)
-	}
 	for i, o := range outcomes {
-		cell := res.Cells[scens[units[i].scen].Name][units[i].mode]
+		cell := res.Cells[scens[m.units[i].scen].Name][m.units[i].mode]
 		cell.Trials++
 		cell.Link.Add(o.LinkRank)
 		cell.Sw.Add(o.SwRank)

@@ -13,8 +13,8 @@ func TestGrayDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full gray suite in -short mode")
 	}
-	one := RunGrayWith(EngineOptions{Workers: 1, DisableCache: true}, 2, 77).Render()
-	eight := RunGrayWith(EngineOptions{Workers: 8, DisableCache: true}, 2, 77).Render()
+	one := RunGray(EngineOptions{Workers: 1, DisableCache: true}, 2, 77).Render()
+	eight := RunGray(EngineOptions{Workers: 8, DisableCache: true}, 2, 77).Render()
 	if one != eight {
 		t.Fatalf("gray grid differs between 1 and 8 workers:\n--- w1 ---\n%s--- w8 ---\n%s", one, eight)
 	}
@@ -27,7 +27,7 @@ func TestGrayRenderCoversGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full gray suite in -short mode")
 	}
-	out := RunGrayWith(EngineOptions{Workers: 4}, 1, 33).Render()
+	out := RunGray(EngineOptions{Workers: 4}, 1, 33).Render()
 	for _, sc := range GrayScenarios() {
 		if !strings.Contains(out, sc.Name) {
 			t.Errorf("grid lacks scenario %q:\n%s", sc.Name, out)

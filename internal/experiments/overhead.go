@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mars/internal/faults"
-	"mars/internal/harness"
 	"mars/internal/metrics"
 )
 
@@ -69,48 +68,30 @@ type OverheadResult struct {
 	Rows   []OverheadRow
 }
 
-// RunOverhead sweeps the codecs with default engine options.
-func RunOverhead(trials int, baseSeed int64) *OverheadResult {
-	return RunOverheadWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunOverheadWith runs the codec sweep on the harness. Seeds derive
-// exactly as in RunTable1, so every codec faces the same fault sequence
-// and the mars11 row reproduces Table 1's MARS accuracy; per-row
-// aggregation walks results in the (codec, fault, trial) nesting order,
-// keeping the frontier deterministic under a fixed base seed and any
-// worker count.
-func RunOverheadWith(opts EngineOptions, trials int, baseSeed int64) *OverheadResult {
-	plan := opts.plan()
+// RunOverhead runs the codec sweep on the harness. Seeds derive exactly
+// as in RunTable1, so every codec faces the same fault sequence and the
+// mars11 row reproduces Table 1's MARS accuracy; per-row aggregation walks
+// results in the (codec, fault, trial) nesting order, keeping the frontier
+// deterministic under a fixed base seed and any worker count.
+func RunOverhead(opts EngineOptions, trials int, baseSeed int64) *OverheadResult {
 	res := &OverheadResult{Trials: trials}
-	var (
-		tcs   []TrialConfig
-		rowOf []int
-		ts    []harness.Trial
-	)
+	m := &trialMatrix[int]{} // unit: row index
 	for _, codec := range OverheadCodecs {
 		res.Rows = append(res.Rows, OverheadRow{Codec: codec})
 		row := len(res.Rows) - 1
 		for _, kind := range faults.Kinds() {
 			for t := 0; t < trials; t++ {
-				seed := plan.TrialSeed(baseSeed, int(kind), t)
-				tc := DefaultTrialConfig(seed, kind)
-				tc.CtrlSeed = plan.CtrlChanSeed(seed)
+				tc := seededConfig(baseSeed, int(kind), t, kind)
 				tc.Codec = codec
-				tcs = append(tcs, tc)
-				rowOf = append(rowOf, row)
-				ts = append(ts, harness.Trial{
-					Index: len(ts), Seed: seed,
-					Label: fmt.Sprintf("overhead/%s/%s/t%d", codec, kind, t),
-				})
+				m.add(row, tc, fmt.Sprintf("overhead/%s/%s/t%d", codec, kind, t))
 			}
 		}
 	}
-	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return opts.runTrial(SysMARS, tcs[tr.Index])
+	results := runMatrix(opts, m, func(_ int, tc TrialConfig) TrialResult {
+		return opts.runTrial(SysMARS, tc)
 	})
 	for i, r := range results {
-		row := &res.Rows[rowOf[i]]
+		row := &res.Rows[m.units[i]]
 		row.Loc.Add(r.Rank)
 		row.Det.Add(r.DiagDetected, true)
 		if r.FalseAlarms > 0 {

@@ -37,7 +37,7 @@ func TestTable1ParallelDeterminism(t *testing.T) {
 		trials   = 1
 		baseSeed = 4242
 	)
-	seq := RunTable1With(EngineOptions{Workers: 1, DisableCache: true}, trials, baseSeed).Render()
+	seq := RunTable1(EngineOptions{Workers: 1, DisableCache: true}, trials, baseSeed).Render()
 
 	var (
 		mu sync.Mutex
@@ -56,7 +56,7 @@ func TestTable1ParallelDeterminism(t *testing.T) {
 			}
 		},
 	}
-	par := RunTable1With(opts, trials, baseSeed).Render()
+	par := RunTable1(opts, trials, baseSeed).Render()
 
 	if renderDigest(seq) != renderDigest(par) {
 		t.Fatalf("workers=1 and workers=8 rendered different tables:\n--- workers=1 ---\n%s--- workers=8 ---\n%s", seq, par)
@@ -90,13 +90,13 @@ func TestFig9ReusesTable1Results(t *testing.T) {
 	sharedResults.Reset()
 	defer sharedResults.Reset()
 
-	RunTable1With(EngineOptions{}, 1, 9090)
+	RunTable1(EngineOptions{}, 1, 9090)
 	hitsBefore, missesBefore := sharedResults.Stats()
 	if missesBefore == 0 {
 		t.Fatalf("Table 1 populated no cache entries; reuse check is vacuous")
 	}
 
-	fig9 := RunFig9With(EngineOptions{}, 9090)
+	fig9 := RunFig9(EngineOptions{}, 9090)
 	hitsAfter, missesAfter := sharedResults.Stats()
 	if missesAfter != missesBefore {
 		t.Fatalf("Fig. 9 re-ran %d trials Table 1 already executed (misses %d -> %d)",

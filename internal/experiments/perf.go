@@ -117,20 +117,14 @@ type PerfResult struct {
 	Deploy *DeployPerf `json:"deploy,omitempty"`
 }
 
-// RunPerf measures with default engine options.
-func RunPerf(trials int, baseSeed int64) *PerfResult {
-	return RunPerfWith(EngineOptions{}, trials, baseSeed)
-}
-
-// RunPerfWith times one MARS trial per (codec, trial index) sequentially —
+// RunPerf times one MARS trial per (codec, trial index) sequentially —
 // timing is the measurement, so the harness pool is bypassed on purpose.
 // Seeds derive exactly as in the overhead sweep, so every codec simulates
 // the same fault sequence and packet population.
-func RunPerfWith(opts EngineOptions, trials int, baseSeed int64) *PerfResult {
+func RunPerf(opts EngineOptions, trials int, baseSeed int64) *PerfResult {
 	if trials < 1 {
 		trials = 1
 	}
-	plan := opts.plan()
 	kind := faults.MicroBurst
 	res := &PerfResult{
 		Note:  "wall-clock throughput baseline; machine-dependent, compare only order of magnitude across hosts",
@@ -140,9 +134,7 @@ func RunPerfWith(opts EngineOptions, trials int, baseSeed int64) *PerfResult {
 	for _, codec := range OverheadCodecs {
 		row := PerfRow{Codec: codec, Trials: trials}
 		for t := 0; t < trials; t++ {
-			seed := plan.TrialSeed(baseSeed, int(kind), t)
-			tc := DefaultTrialConfig(seed, kind)
-			tc.CtrlSeed = plan.CtrlChanSeed(seed)
+			tc := seededConfig(baseSeed, int(kind), t, kind)
 			tc.Codec = codec
 			start := time.Now() //mars:wallclock the perf experiment measures wall-clock throughput
 			r := opts.runTrial(SysMARS, tc)

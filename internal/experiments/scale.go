@@ -37,12 +37,7 @@ type ScaleResult struct {
 	Width uint
 }
 
-// RunScale sweeps fat-tree arities with the default engine options.
-func RunScale(ks []int) *ScaleResult {
-	return RunScaleWith(EngineOptions{}, ks)
-}
-
-// RunScaleWith sweeps fat-tree arities and measures MARS's header and
+// RunScale sweeps fat-tree arities and measures MARS's header and
 // memory costs against IntSight's encoding. A 16-bit PathID accommodates
 // the larger path sets (the 8-bit default is sized for K=4). Each arity is
 // one harness trial, so big-K topology and table builds proceed in
@@ -50,7 +45,7 @@ func RunScale(ks []int) *ScaleResult {
 // field: under parallel workers concurrent builds share the CPUs, so
 // per-row build latency can read higher than a sequential sweep even
 // though the whole sweep finishes sooner.
-func RunScaleWith(opts EngineOptions, ks []int) *ScaleResult {
+func RunScale(opts EngineOptions, ks []int) *ScaleResult {
 	out := &ScaleResult{Width: 16}
 	cfg := pathid.Config{Alg: pathid.CRC16, Width: out.Width}
 	ts := make([]harness.Trial, len(ks))

@@ -10,6 +10,7 @@ import (
 
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
+	"mars/internal/pathid"
 	"mars/internal/topology"
 	"mars/internal/workload"
 )
@@ -57,31 +58,25 @@ type ScaleTrialResult struct {
 	Mem         []netsim.MemEstimate
 }
 
-// RunScaleTrial executes one sharded data-plane trial. Each shard gets a
-// resident dataplane.Program (register arrays only for its owned
-// switches), flows are installed through OnNode so their events and RNG
-// draws stamp with the owning unit, and progress (if non-nil) observes
-// barrier rounds for the -progress heartbeat.
-func RunScaleTrial(tc TrialConfig, progress netsim.ShardProgress) *ScaleTrialResult {
-	ft, err := topology.NewFatTree(tc.K)
-	if err != nil {
-		panic(err)
-	}
+// shardedFabric is the k-ary fabric on the sharded engine that the scale
+// and stream trials share: one resident dataplane.Program per shard, each
+// holding register arrays only for the switches its shard owns.
+type shardedFabric struct {
+	*netsim.Sharded
+	ft    *topology.FatTree
+	progs []*dataplane.Program // progs[i] is shard i's pipeline
+}
+
+// newShardedFabric builds ft on the sharded engine. shards<=0 means
+// GOMAXPROCS; the count is clamped exactly as netsim.NewSharded clamps
+// it, so program i always pairs with shard i. table may be nil, which
+// skips the MAT control lookup but still runs the in-band hash chain.
+func newShardedFabric(ft *topology.FatTree, seed int64, shards int, simCfg netsim.Config,
+	progCfg dataplane.Config, table *pathid.Table, progress netsim.ShardProgress) *shardedFabric {
 	part := ft.PodPartition()
-	shards := tc.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-
-	simCfg := scaledSimConfig()
-	if tc.SimCfg != nil {
-		simCfg = *tc.SimCfg
-	}
-	progCfg := dataplane.DefaultProgramConfig()
-
-	// One resident program per shard, mirroring NewSharded's unit
-	// round-robin. Clamp exactly as the engine does so program index i
-	// always pairs with shard i.
 	if shards > part.NumUnits {
 		shards = part.NumUnits
 	}
@@ -95,34 +90,59 @@ func RunScaleTrial(tc TrialConfig, progress netsim.ShardProgress) *ScaleTrialRes
 	}
 	progs := make([]*dataplane.Program, shards)
 	for i := range progs {
-		// Paths is nil: at k=16 the all-pairs path set is millions of
-		// entries; the in-band hash chain still runs, only the MAT
-		// control lookup is skipped.
-		progs[i] = dataplane.NewResident(progCfg, ft.Topology, nil, nil, owned[i])
+		progs[i] = dataplane.NewResident(progCfg, ft.Topology, table, nil, owned[i])
 	}
-
-	router := netsim.NewECMPRouter(ft.Topology, uint64(tc.Seed))
+	router := netsim.NewECMPRouter(ft.Topology, uint64(seed))
 	sh := netsim.NewSharded(ft.Topology, part, router, func(i int) netsim.Hooks { return progs[i] },
-		simCfg, tc.Seed, netsim.ShardedConfig{Shards: shards, Progress: progress})
-	defer sh.Close()
+		simCfg, seed, netsim.ShardedConfig{Shards: shards, Progress: progress})
+	return &shardedFabric{Sharded: sh, ft: ft, progs: progs}
+}
 
-	// Deterministic cross-pod mesh: flow i runs from host i (mod hosts) to
-	// a host 1..K-1 pods away, staggered starts, Poisson gaps and
-	// trace-shaped sizes drawn from the source unit's RNG stream.
-	hosts := ft.HostIDs
-	perPod := len(hosts) / ft.K
-	for i := 0; i < tc.NumFlows; i++ {
-		src := hosts[i%len(hosts)]
-		dst := hosts[(i%len(hosts)+perPod*(1+i%(ft.K-1)))%len(hosts)]
-		f := &workload.Flow{
+// installMesh installs the first n flows of the deterministic cross-pod
+// mesh (meshEndpoints) at rate pps each until stop: staggered starts,
+// Poisson gaps and trace-shaped sizes. Flows install through OnNode so
+// their events and RNG draws stamp with the source's owning unit.
+func (f *shardedFabric) installMesh(n int, rate float64, stop netsim.Time) {
+	for i := 0; i < n; i++ {
+		src, dst := meshEndpoints(f.ft, i)
+		fl := &workload.Flow{
 			Src: src, Dst: dst, Key: netsim.FlowKey(i + 1),
-			RatePPS: tc.RatePPS,
+			RatePPS: rate,
 			Gaps:    workload.GapExponential,
 			Start:   netsim.Time(i%97) * 50 * netsim.Microsecond,
-			Stop:    tc.Total,
+			Stop:    stop,
 		}
-		sh.OnNode(src, f.Install)
+		f.OnNode(src, fl.Install)
 	}
+}
+
+// meshEndpoints returns flow i's hosts under the deterministic cross-pod
+// mesh: source host i (mod hosts), destination 1..K-1 pods away.
+func meshEndpoints(ft *topology.FatTree, i int) (src, dst topology.NodeID) {
+	hosts := ft.HostIDs
+	perPod := len(hosts) / ft.K
+	src = hosts[i%len(hosts)]
+	dst = hosts[(i%len(hosts)+perPod*(1+i%(ft.K-1)))%len(hosts)]
+	return src, dst
+}
+
+// RunScaleTrial executes one sharded data-plane trial over the cross-pod
+// mesh, and progress (if non-nil) observes barrier rounds for the
+// -progress heartbeat.
+func RunScaleTrial(tc TrialConfig, progress netsim.ShardProgress) *ScaleTrialResult {
+	ft, err := topology.NewFatTree(tc.K)
+	if err != nil {
+		panic(err)
+	}
+	simCfg := scaledSimConfig()
+	if tc.SimCfg != nil {
+		simCfg = *tc.SimCfg
+	}
+	// No path table: at k=16 the all-pairs path set is millions of
+	// entries.
+	sh := newShardedFabric(ft, tc.Seed, tc.Shards, simCfg, dataplane.DefaultProgramConfig(), nil, progress)
+	defer sh.Close()
+	sh.installMesh(tc.NumFlows, tc.RatePPS, tc.Total)
 
 	start := time.Now() //mars:wallclock the scale tier reports real sharded throughput
 	sh.Run(tc.Total + 50*netsim.Millisecond)
@@ -154,7 +174,7 @@ func RunScaleTrial(tc TrialConfig, progress netsim.ShardProgress) *ScaleTrialRes
 	for _, n := range sh.Events() {
 		res.Events += n
 	}
-	for _, p := range progs {
+	for _, p := range sh.progs {
 		res.TelemetryBytes += p.Stats.TelemetryLinkBytes
 		res.TelemetryPackets += p.Stats.TelemetryPackets
 	}

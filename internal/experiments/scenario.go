@@ -3,11 +3,11 @@
 // benchmarks. Each driver returns a plain data structure plus a formatted
 // text rendering, so EXPERIMENTS.md can record paper-vs-measured rows.
 //
-// Trial-based drivers declare their (system x fault x trial) matrix to the
-// internal/harness engine, which derives seeds through a SeedPlan,
-// executes trials on a bounded worker pool, and returns results in
-// deterministic trial order — output is byte-identical for any worker
-// count. The systems themselves are wired through the SystemUnderTest
+// Trial-based drivers derive their seeds through harness.LegacyPlan and
+// declare their (system x fault x trial) matrix to the internal/harness
+// engine, which executes trials on a bounded worker pool and returns
+// results in deterministic trial order — output is byte-identical for any
+// worker count. The systems themselves are wired through the SystemUnderTest
 // interface (systems.go), so MARS and the three baselines share one
 // substrate-construction path.
 package experiments
@@ -70,9 +70,8 @@ type TrialConfig struct {
 	// SimCfg overrides the physical parameters (zero = scaled defaults).
 	SimCfg *netsim.Config
 
-	// CtrlSeed seeds the control channel's own random stream, derived from
-	// Seed by the sweep's harness.SeedPlan (constructors always fill it;
-	// zero falls back to the legacy Seed+7 offset).
+	// CtrlSeed seeds the control channel's own random stream;
+	// DefaultTrialConfig derives it from Seed by harness.LegacyPlan.
 	CtrlSeed int64
 	// CtrlLossy runs MARS over the realistic control channel model
 	// (1 ms ± jitter latency, duplication, reordering) instead of the

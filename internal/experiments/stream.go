@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"mars/internal/rca"
 	"mars/internal/stream"
 	"mars/internal/topology"
-	"mars/internal/workload"
 )
 
 // The stream trial is the continuous-operation tier: the same sharded
@@ -134,20 +132,6 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 	if err != nil {
 		panic(err)
 	}
-	part := ft.PodPartition()
-	shards := tc.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > part.NumUnits {
-		shards = part.NumUnits
-	}
-	if shards < 1 {
-		shards = 1
-	}
-
-	simCfg := scaledSimConfig()
-
 	// The path table comes first: it covers exactly the (source edge,
 	// sink edge) pairs the mesh can produce (the all-pairs set is
 	// infeasible at k=16), and the data plane shares it so the MAT
@@ -156,42 +140,19 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 	table := selectivePathTable(ft, streamMeshPairs(ft, tc.NumFlows))
 	progCfg := dataplane.DefaultProgramConfig()
 	progCfg.PathCfg = table.Cfg
+	sh := newShardedFabric(ft, tc.Seed, tc.Shards, scaledSimConfig(), progCfg, table, progress)
+	defer sh.Close()
+	sh.installMesh(tc.NumFlows, tc.RatePPS, netsim.Time(tc.Epochs)*tc.Epoch)
 
-	owned := make([][]topology.NodeID, shards)
-	for _, sw := range ft.Switches() {
-		s := int(part.UnitOf[sw]) % shards
-		owned[s] = append(owned[s], sw)
-	}
-	// One resident program per shard; each taps its sink records into its
-	// own buffer. The tap runs inside the shard's event loop, so buffers
-	// are strictly per-shard — the coordinator drains them between steps.
-	progs := make([]*dataplane.Program, shards)
-	bufs := make([][]dataplane.RTRecord, shards)
-	for i := range progs {
-		progs[i] = dataplane.NewResident(progCfg, ft.Topology, table, nil, owned[i])
+	// Each shard's program taps its sink records into its own buffer. The
+	// tap runs inside the shard's event loop, so buffers are strictly
+	// per-shard — the coordinator drains them between steps.
+	bufs := make([][]dataplane.RTRecord, len(sh.progs))
+	for i, p := range sh.progs {
 		buf := &bufs[i]
-		progs[i].OnRecord = func(_ topology.NodeID, rec dataplane.RTRecord) {
+		p.OnRecord = func(_ topology.NodeID, rec dataplane.RTRecord) {
 			*buf = append(*buf, rec)
 		}
-	}
-
-	router := netsim.NewECMPRouter(ft.Topology, uint64(tc.Seed))
-	sh := netsim.NewSharded(ft.Topology, part, router, func(i int) netsim.Hooks { return progs[i] },
-		simCfg, tc.Seed, netsim.ShardedConfig{Shards: shards, Progress: progress})
-	defer sh.Close()
-
-	// The scale trial's deterministic cross-pod mesh.
-	total := netsim.Time(tc.Epochs) * tc.Epoch
-	for i := 0; i < tc.NumFlows; i++ {
-		src, dst := streamMeshEndpoints(ft, i)
-		f := &workload.Flow{
-			Src: src, Dst: dst, Key: netsim.FlowKey(i + 1),
-			RatePPS: tc.RatePPS,
-			Gaps:    workload.GapExponential,
-			Start:   netsim.Time(i%97) * 50 * netsim.Microsecond,
-			Stop:    total,
-		}
-		sh.OnNode(src, f.Install)
 	}
 
 	// One stream service per window size over the same record stream.
@@ -207,7 +168,7 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 		if tc.EpochSampleCap > 0 {
 			scfg.EpochSampleCap = tc.EpochSampleCap
 		}
-		svcs[i] = stream.New(scfg, part, table)
+		svcs[i] = stream.New(scfg, sh.Part, table)
 	}
 
 	// Ground truth: silent drop on the edge-facing ports of the first
@@ -364,23 +325,12 @@ func RunStreamTrial(tc StreamTrialConfig, progress netsim.ShardProgress) *Stream
 	return res
 }
 
-// streamMeshEndpoints returns flow i's hosts under the scale trial's
-// deterministic cross-pod mesh: source host i (mod hosts), destination
-// 1..K-1 pods away.
-func streamMeshEndpoints(ft *topology.FatTree, i int) (src, dst topology.NodeID) {
-	hosts := ft.HostIDs
-	perPod := len(hosts) / ft.K
-	src = hosts[i%len(hosts)]
-	dst = hosts[(i%len(hosts)+perPod*(1+i%(ft.K-1)))%len(hosts)]
-	return src, dst
-}
-
 // streamMeshPairs returns the set of (source edge, sink edge) switch
 // pairs the mesh's first numFlows flows traverse.
 func streamMeshPairs(ft *topology.FatTree, numFlows int) map[[2]topology.NodeID]bool {
 	pairs := map[[2]topology.NodeID]bool{}
 	for i := 0; i < numFlows; i++ {
-		src, dst := streamMeshEndpoints(ft, i)
+		src, dst := meshEndpoints(ft, i)
 		se, _ := ft.EdgeSwitchOf(src)
 		de, _ := ft.EdgeSwitchOf(dst)
 		pairs[[2]topology.NodeID{se, de}] = true

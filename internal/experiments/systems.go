@@ -8,7 +8,6 @@ import (
 	"mars/internal/ctrlchan"
 	"mars/internal/dataplane"
 	"mars/internal/faults"
-	"mars/internal/harness"
 	"mars/internal/netsim"
 	"mars/internal/pathid"
 	"mars/internal/rca"
@@ -152,9 +151,9 @@ func (m *marsSystem) Build(tc TrialConfig, ft *topology.FatTree) netsim.Hooks {
 }
 
 func (m *marsSystem) Start(tc TrialConfig, sub *Substrate, inj *faults.Injector) {
-	chcfg := ctrlchan.Config{Seed: tc.ctrlSeed()}
+	chcfg := ctrlchan.Config{Seed: tc.CtrlSeed}
 	if tc.CtrlLossy {
-		chcfg = ctrlchan.Lossy(tc.CtrlLoss, tc.ctrlSeed())
+		chcfg = ctrlchan.Lossy(tc.CtrlLoss, tc.CtrlSeed)
 	}
 	m.ch = ctrlchan.New(sub.Sim, chcfg)
 	ccfg := controlplane.DefaultConfig()
@@ -219,16 +218,6 @@ func (m *marsSystem) Localize(tc TrialConfig, sub *Substrate, gt faults.GroundTr
 		TelemetryPackets: m.prog.Stats.TelemetryPackets,
 		FalseAlarms:      m.falseAlarms,
 	}
-}
-
-// ctrlSeed resolves the trial's control-channel seed: the value the
-// SeedPlan derived (constructors always set it), or the legacy offset for
-// hand-rolled zero-value configs.
-func (tc TrialConfig) ctrlSeed() int64 {
-	if tc.CtrlSeed != 0 {
-		return tc.CtrlSeed
-	}
-	return harness.LegacyPlan{}.CtrlChanSeed(tc.Seed)
 }
 
 // --- SpiderMon --------------------------------------------------------------

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mars/internal/faults"
-	"mars/internal/harness"
 	"mars/internal/metrics"
 )
 
@@ -21,28 +20,17 @@ type Table1Result struct {
 	Cells map[faults.Kind]map[SystemKind]*Table1Cell
 }
 
-// RunTable1 runs `trials` trials per fault kind per system with the
-// default engine options (legacy seeds, GOMAXPROCS workers).
-func RunTable1(trials int, baseSeed int64) *Table1Result {
-	return RunTable1With(EngineOptions{}, trials, baseSeed)
-}
-
-// RunTable1With runs the Table 1 matrix on the harness. Seeds derive from
-// baseSeed through the options' SeedPlan so every system faces the same
-// fault sequence; trials execute on the worker pool and aggregate in the
-// historical (fault, trial, system) nesting order, so the result is
-// byte-identical for any worker count.
-func RunTable1With(opts EngineOptions, trials int, baseSeed int64) *Table1Result {
-	plan := opts.plan()
+// RunTable1 runs `trials` trials per fault kind per system on the
+// harness. Seeds derive from baseSeed through harness.LegacyPlan so every
+// system faces the same fault sequence; trials execute on the worker pool
+// and aggregate in the historical (fault, trial, system) nesting order, so
+// the result is byte-identical for any worker count.
+func RunTable1(opts EngineOptions, trials int, baseSeed int64) *Table1Result {
 	type unit struct {
 		kind faults.Kind
 		sys  SystemKind
 	}
-	var (
-		units []unit
-		tcs   []TrialConfig
-		ts    []harness.Trial
-	)
+	m := &trialMatrix[unit]{}
 	res := &Table1Result{
 		Trials: trials,
 		Cells:  make(map[faults.Kind]map[SystemKind]*Table1Cell),
@@ -53,24 +41,17 @@ func RunTable1With(opts EngineOptions, trials int, baseSeed int64) *Table1Result
 			res.Cells[kind][sys] = &Table1Cell{}
 		}
 		for t := 0; t < trials; t++ {
-			seed := plan.TrialSeed(baseSeed, int(kind), t)
-			tc := DefaultTrialConfig(seed, kind)
-			tc.CtrlSeed = plan.CtrlChanSeed(seed)
+			tc := seededConfig(baseSeed, int(kind), t, kind)
 			for _, sys := range Systems() {
-				units = append(units, unit{kind, sys})
-				tcs = append(tcs, tc)
-				ts = append(ts, harness.Trial{
-					Index: len(ts), Seed: seed,
-					Label: fmt.Sprintf("table1/%s/%s/t%d", kind, sys, t),
-				})
+				m.add(unit{kind, sys}, tc, fmt.Sprintf("table1/%s/%s/t%d", kind, sys, t))
 			}
 		}
 	}
-	results := mustRun(opts, ts, func(tr harness.Trial) TrialResult {
-		return opts.runTrial(units[tr.Index].sys, tcs[tr.Index])
+	results := runMatrix(opts, m, func(u unit, tc TrialConfig) TrialResult {
+		return opts.runTrial(u.sys, tc)
 	})
 	for i, r := range results {
-		res.Cells[units[i].kind][units[i].sys].Loc.Add(r.Rank)
+		res.Cells[m.units[i].kind][m.units[i].sys].Loc.Add(r.Rank)
 	}
 	return res
 }

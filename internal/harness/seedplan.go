@@ -1,74 +1,21 @@
 package harness
 
-// SeedPlan derives every RNG seed of a trial matrix from (base seed,
-// fault-kind index, trial index). Centralizing the arithmetic here keeps
-// the two historical formulas — `base + kind*1000 + trial` for the
-// substrate seed and `substrate seed + 7` for the control channel —
-// defined in exactly one place, and lets new sweeps opt into a
-// collision-resistant derivation without disturbing published numbers.
-type SeedPlan interface {
-	// Name identifies the plan in docs and rendered output.
-	Name() string
-	// TrialSeed returns the substrate seed (simulator, router, controller)
-	// for trial `trial` of fault-kind index `kind`.
-	TrialSeed(base int64, kind, trial int) int64
-	// CtrlChanSeed derives the control-channel seed from a trial's
-	// substrate seed; the channel draws from its own stream so degrading
-	// it never perturbs workload or fault randomness.
-	CtrlChanSeed(trialSeed int64) int64
-}
-
-// LegacyPlan is the historical seed arithmetic every published
-// EXPERIMENTS.md number was produced under: substrate seed
-// base + kind*1000 + trial, control channel at substrate seed + 7. It is
-// the default plan; keep it for any sweep whose numbers are recorded.
+// LegacyPlan is the one seed formula of every trial matrix, and the one
+// every published EXPERIMENTS.md number was produced under: substrate
+// seed base + kind*1000 + trial, control channel at substrate seed + 7.
+// Defining the arithmetic here keeps it in exactly one place.
 //
 // Its seeds are collision-free only while trial < 1000 (the kind stride):
-// trial 1000 of kind k aliases trial 0 of kind k+1. Sweeps larger than
-// that must use SplitPlan.
+// trial 1000 of kind k aliases trial 0 of kind k+1.
 type LegacyPlan struct{}
 
-// Name implements SeedPlan.
-func (LegacyPlan) Name() string { return "legacy" }
-
-// TrialSeed implements SeedPlan with the historical formula.
+// TrialSeed returns the substrate seed (simulator, router, controller)
+// for trial `trial` of fault-kind index `kind`.
 func (LegacyPlan) TrialSeed(base int64, kind, trial int) int64 {
 	return base + int64(kind)*1000 + int64(trial)
 }
 
-// CtrlChanSeed implements SeedPlan with the historical +7 offset.
+// CtrlChanSeed derives the control-channel seed from a trial's substrate
+// seed with the historical +7 offset; the channel draws from its own
+// stream so degrading it never perturbs workload or fault randomness.
 func (LegacyPlan) CtrlChanSeed(trialSeed int64) int64 { return trialSeed + 7 }
-
-// SplitPlan derives seeds by splitmix64-style hashing, so any two distinct
-// (base, kind, trial) coordinates map to unrelated 64-bit seeds with no
-// arithmetic aliasing at any sweep size. Use it for new sweeps (e.g. K=6/8
-// scale runs with thousands of trials); published legacy sweeps must stay
-// on LegacyPlan.
-type SplitPlan struct{}
-
-// Name implements SeedPlan.
-func (SplitPlan) Name() string { return "split" }
-
-// splitmix64 is the finalizer of Steele et al.'s SplitMix generator; it is
-// a bijection on 64-bit values with strong avalanche, which is what makes
-// the derived seed streams collision-free per coordinate.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// TrialSeed implements SeedPlan by chaining the mix over the coordinates.
-func (SplitPlan) TrialSeed(base int64, kind, trial int) int64 {
-	h := splitmix64(uint64(base))
-	h = splitmix64(h ^ uint64(uint32(kind)))
-	h = splitmix64(h ^ uint64(uint32(trial))<<32)
-	return int64(h)
-}
-
-// CtrlChanSeed implements SeedPlan; the constant tags the control-channel
-// stream so it can never coincide with the substrate stream.
-func (SplitPlan) CtrlChanSeed(trialSeed int64) int64 {
-	return int64(splitmix64(uint64(trialSeed) ^ 0xc791c4a1)) // stream tag
-}

@@ -25,9 +25,6 @@ func TestLegacyPlanPinsHistoricalFormulas(t *testing.T) {
 	if got := p.CtrlChanSeed(4007); got != 4014 {
 		t.Errorf("CtrlChanSeed(4007) = %d, want 4014", got)
 	}
-	if p.Name() != "legacy" {
-		t.Errorf("name = %q", p.Name())
-	}
 }
 
 // TestLegacyPlanNoCollidingSeeds proves the legacy plan emits no colliding
@@ -60,31 +57,5 @@ func TestLegacyPlanNoCollidingSeeds(t *testing.T) {
 	// The documented cap: at trial 1000 the plan aliases the next kind.
 	if p.TrialSeed(0, 0, 1000) != p.TrialSeed(0, 1, 0) {
 		t.Error("stride documentation is stale: trial 1000 no longer aliases the next kind")
-	}
-}
-
-// TestSplitPlanCollisionFreeAtScale checks the hash-based plan over a grid
-// far beyond the legacy stride: all substrate and control-channel seeds
-// across (kinds x 20000 trials) are pairwise distinct.
-func TestSplitPlanCollisionFreeAtScale(t *testing.T) {
-	var p SplitPlan
-	seen := make(map[int64]bool, 6*20000*2)
-	for k := 0; k < 6; k++ {
-		for tr := 0; tr < 20000; tr++ {
-			s := p.TrialSeed(1000, k, tr)
-			cs := p.CtrlChanSeed(s)
-			if seen[s] {
-				t.Fatalf("substrate seed collision at (kind %d, trial %d)", k, tr)
-			}
-			seen[s] = true
-			if seen[cs] {
-				t.Fatalf("control-channel seed collision at (kind %d, trial %d)", k, tr)
-			}
-			seen[cs] = true
-		}
-	}
-	// Legacy's stride aliasing must not exist here.
-	if p.TrialSeed(0, 0, 1000) == p.TrialSeed(0, 1, 0) {
-		t.Error("split plan reproduced the legacy stride aliasing")
 	}
 }

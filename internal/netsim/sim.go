@@ -107,7 +107,6 @@ type portRuntime struct {
 	blackhole    bool    // drop everything
 	down         bool    // attached link is administratively/physically down
 	rateLimitPPS float64 // max departures per second; 0 = unlimited
-	extraLatency Time    // added to every transmission (Delay fault)
 
 	// enqueuedBytes tracks current occupancy in bytes for observability.
 	enqueuedBytes int64
@@ -602,7 +601,6 @@ func (s *Simulator) startTransmitNow(sw topology.NodeID, outPort topology.PortID
 	} else {
 		tx = s.txTime(pkt.WireSize())
 	}
-	tx += pr.extraLatency
 	if g := pr.minGap(); g > tx {
 		// Rate limit dominates serialization (process-rate decrease).
 		tx = g
@@ -647,26 +645,6 @@ func (s *Simulator) drop(sw topology.NodeID, port topology.PortID, pkt *Packet, 
 	s.releasePacket(pkt)
 }
 
-// QueueLen returns the current occupancy (packets, including in-flight) of
-// a switch egress port.
-func (s *Simulator) QueueLen(sw topology.NodeID, port topology.PortID) int {
-	pr := &s.switches[sw].ports[port]
-	n := pr.qlen()
-	if pr.busy {
-		n++
-	}
-	return n
-}
-
-// TotalQueueLen returns the summed occupancy of all ports at sw.
-func (s *Simulator) TotalQueueLen(sw topology.NodeID) int {
-	n := 0
-	for i := range s.switches[sw].ports {
-		n += s.QueueLen(sw, topology.PortID(i))
-	}
-	return n
-}
-
 // --- Fault controls -------------------------------------------------------
 //
 // These are the Chaosblade-equivalent knobs; internal/faults composes them
@@ -686,11 +664,6 @@ func (s *Simulator) SetPortBlackhole(sw topology.NodeID, port topology.PortID, o
 // (0 removes the cap). This models the process-rate-decrease fault.
 func (s *Simulator) SetPortRateLimit(sw topology.NodeID, port topology.PortID, pps float64) {
 	s.switches[sw].ports[port].rateLimitPPS = pps
-}
-
-// SetPortExtraLatency adds fixed latency to every transmission on a port.
-func (s *Simulator) SetPortExtraLatency(sw topology.NodeID, port topology.PortID, d Time) {
-	s.switches[sw].ports[port].extraLatency = d
 }
 
 // SetSwitchExtraDelay adds processing latency to every packet traversing

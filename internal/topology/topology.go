@@ -189,18 +189,6 @@ func (t *Topology) Neighbors(id NodeID) []NodeID {
 	return out
 }
 
-// LinkBetween returns the link connecting a and b (in either orientation).
-// ok is false if the nodes are not adjacent.
-func (t *Topology) LinkBetween(a, b NodeID) (LinkID, bool) {
-	n := &t.Nodes[a]
-	for i := range n.Ports {
-		if n.Ports[i].Peer == b {
-			return n.Ports[i].Link, true
-		}
-	}
-	return 0, false
-}
-
 // InterSwitchLinks lists the IDs of links whose endpoints are both
 // switches, in ascending link order. These are the links the gray-failure
 // scenarios (link down, flapping) draw from: host access links are
