@@ -147,9 +147,10 @@ func runController(scenarioPath, portmapPath string, withStream bool) (int, erro
 		CollectLatencies: ctrl.CollectionLatencies(),
 		Bytes:            ctrl.BandwidthStats(),
 	}
-	fmt.Printf("mars-node: controller diagnoses=%d collect_mean_ms=%.2f collect_p95_ms=%.2f diag_rate=%.2f/s retries=%d frames_rx=%d\n",
+	fmt.Printf("mars-node: controller diagnoses=%d collect_mean_ms=%.2f collect_p95_ms=%.2f diag_rate=%.2f/s retries=%d collect_retries=%d refresh_retries=%d push_retries=%d frames_rx=%d\n",
 		res.Diagnoses, res.MeanCollectMs(), res.P95CollectMs(), res.DiagnosesPerSec(),
-		res.Bytes.Retries, ctrl.Stats().FramesReceived.Load())
+		res.Bytes.Retries, res.Bytes.CollectRetries, res.Bytes.RefreshRetries, res.Bytes.PushRetries,
+		ctrl.Stats().FramesReceived.Load())
 	if withStream {
 		windows, merged := ctrl.FinishStream()
 		fmt.Printf("mars-node: stream windows=%d merged_culprits=%d\n", windows, merged)

@@ -8,10 +8,11 @@
 //
 // The channel (internal/ctrlchan) may lose, delay, reorder, or duplicate
 // messages, so the controller is built to survive its own control plane
-// being faulty: Ring Table collections and refresh pulls carry per-request
-// timeouts with capped exponential backoff and a retry budget; channel
-// sequence numbers deduplicate duplicated or reordered notifications; and
-// threshold pushes are acknowledged and re-sent until confirmed. When some
+// being faulty: Ring Table collections, refresh pulls and threshold pushes
+// share one request lifecycle with per-request timeouts, capped
+// exponential backoff and a retry budget; channel sequence numbers
+// deduplicate duplicated or reordered notifications; and threshold pushes
+// are acknowledged and re-sent until confirmed. When some
 // edge switches never answer a collection within the retry budget, the
 // controller does not stall: it hands RCA a partial diagnosis tagged with
 // the missing sinks, and the analyzer annotates its culprits with the
@@ -189,6 +190,11 @@ type BandwidthStats struct {
 	DuplicateNotifications int64
 	// Retries counts request retransmissions (collect + refresh + push).
 	Retries int64
+	// CollectRetries, RefreshRetries and PushRetries split Retries by the
+	// kind of request retransmitted; they sum to Retries.
+	CollectRetries int64
+	RefreshRetries int64
+	PushRetries    int64
 }
 
 // DiagnosisBytes returns the on-demand (trigger + collection) total, the
@@ -206,22 +212,22 @@ type collection struct {
 	pending   map[topology.NodeID]bool
 	missing   []topology.NodeID
 	requested int
-	finished  bool
 	// asOf tracks the newest response Stamp (zero on the in-sim path).
 	asOf netsim.Time
 }
 
-// collectReq tracks one outstanding collection request attempt.
-type collectReq struct {
-	col     *collection
-	sw      topology.NodeID
+// request is one outstanding controller → switch attempt: a Ring Table
+// collection, a refresh pull, or a threshold push. Every attempt gets a
+// fresh Seq and its own entry in the controller's pending table.
+type request struct {
+	kind ctrlchan.Kind // KindCollectRequest, KindRefreshRequest or KindThresholdPush
+	sw   topology.NodeID
+	// attempt counts the retries of a collect or refresh; a push keeps
+	// its count on its pushState.
 	attempt int
-}
-
-// refreshReq tracks one outstanding refresh pull attempt.
-type refreshReq struct {
-	sw      topology.NodeID
-	attempt int
+	col     *collection      // collects only
+	flow    dataplane.FlowID // pushes only
+	push    *pushState       // pushes only
 }
 
 // noteKey deduplicates notification deliveries. The sequence number alone
@@ -242,15 +248,21 @@ type pushKey struct {
 
 // pushState tracks threshold convergence for one (switch, flow): the value
 // the controller wants installed, the last value the switch acknowledged,
-// and the in-flight attempt. At most one push per key is outstanding.
+// and the newest attempt's Seq. At most one push per key is outstanding:
+// the push is in flight while seq is pending.
 type pushState struct {
 	want          netsim.Time
 	confirmed     netsim.Time
 	haveConfirmed bool
-	inFlight      bool
 	seq           uint64
-	attempts      int
+	// attempts counts retries since the last fresh push or ack. It lives
+	// here rather than on the request because a backoff timer armed before
+	// a fresh push can fire after it and must continue that push's count.
+	attempts int
 }
+
+// settled reports whether the switch has acknowledged the wanted value.
+func (ps *pushState) settled() bool { return ps.haveConfirmed && ps.confirmed == ps.want }
 
 // Controller is the MARS control plane.
 type Controller struct {
@@ -274,14 +286,14 @@ type Controller struct {
 	edgeSwitches  []topology.NodeID
 	started       bool
 
-	// Channel sequencing and outstanding-request state.
+	// Channel sequencing and outstanding-request state. pending holds
+	// every unanswered attempt by Seq; refreshPending marks sinks whose
+	// pull is pending or backing off.
 	nextSeq        uint64
 	seenNotes      map[noteKey]bool
-	collectSeqs    map[uint64]collectReq
-	refreshSeqs    map[uint64]refreshReq
+	pending        map[uint64]request
 	refreshPending map[topology.NodeID]bool
 	pushes         map[pushKey]*pushState
-	pushSeqs       map[uint64]pushKey
 
 	// suppressed retains the newest notification that arrived inside the
 	// response window, so a diagnosis fires when the window reopens
@@ -317,11 +329,9 @@ func NewWithTransport(cfg Config, clock Clock, prog *dataplane.Program, tr ctrlc
 		reservoirs:     make(map[dataplane.FlowID]*reservoir.Reservoir),
 		lastSeen:       make(map[topology.NodeID]netsim.Time),
 		seenNotes:      make(map[noteKey]bool),
-		collectSeqs:    make(map[uint64]collectReq),
-		refreshSeqs:    make(map[uint64]refreshReq),
+		pending:        make(map[uint64]request),
 		refreshPending: make(map[topology.NodeID]bool),
 		pushes:         make(map[pushKey]*pushState),
-		pushSeqs:       make(map[uint64]pushKey),
 	}
 	for _, sw := range c.Topo.Switches() {
 		for _, p := range c.Topo.Node(sw).Ports {
@@ -332,13 +342,6 @@ func NewWithTransport(cfg Config, clock Clock, prog *dataplane.Program, tr ctrlc
 		}
 	}
 	return c
-}
-
-// Channel exposes the control channel (for fault injection and stats); nil
-// when the controller runs over a non-Channel transport.
-func (c *Controller) Channel() *ctrlchan.Channel {
-	ch, _ := c.tr.(*ctrlchan.Channel)
-	return ch
 }
 
 // Deliver dispatches an inbound switch → controller message. It is the
@@ -403,14 +406,100 @@ func (c *Controller) seq() uint64 {
 	return c.nextSeq
 }
 
-// armTimeout schedules fn at the request deadline unless the request was
-// already satisfied synchronously (perfect channel), keeping the event
+// --- Request lifecycle ----------------------------------------------------
+//
+// Collects, refresh pulls and threshold pushes share one lifecycle: send
+// mints a Seq and files the attempt in the pending table, the reply or the
+// deadline claims it with take (whichever comes first; the other finds it
+// gone), and timeout retries it after a jittered backoff or gives up once
+// the retry budget is spent.
+
+// send issues one attempt of r: it mints the Seq, accounts the bytes, puts
+// the message on the channel, and arms the deadline unless the reply
+// already arrived synchronously (perfect channel), which keeps the event
 // heap untouched on the reliable path.
-func (c *Controller) armTimeout(stillPending func() bool, fn func()) {
-	if !stillPending() {
+func (c *Controller) send(r request) {
+	seq := c.seq()
+	c.pending[seq] = r
+	m := ctrlchan.Message{Kind: r.kind, Seq: seq, Switch: r.sw}
+	//mars:partial a request is a collect, a refresh pull or a threshold push; the other kinds are replies and notifications
+	switch r.kind {
+	case ctrlchan.KindCollectRequest:
+		m.Note, m.Wire = r.col.trigger, ctrlchan.CollectRequestBytes
+		c.Bytes.RequestBytes += m.Wire
+	case ctrlchan.KindRefreshRequest:
+		c.refreshPending[r.sw] = true
+		m.Watermark, m.Wire = c.lastSeen[r.sw], ctrlchan.RefreshRequestBytes
+		c.Bytes.RequestBytes += m.Wire
+	case ctrlchan.KindThresholdPush:
+		r.push.seq = seq
+		m.Flow, m.Threshold, m.Wire = r.flow, r.push.want, dataplane.ThresholdPushBytes
+		c.Bytes.ThresholdPushBytes += m.Wire
+	}
+	c.tr.Send(ctrlchan.ToSwitch, m, c.deliverToSwitch)
+	if _, ok := c.pending[seq]; ok {
+		c.clock.After(c.Cfg.RequestTimeout, func() { c.timeout(seq, r.kind) })
+	}
+}
+
+// take claims the pending attempt seq of the given kind for its reply or
+// its deadline. It reports false for a duplicate reply, a straggler past
+// its deadline, a deadline after the reply, or a reply of the wrong kind.
+func (c *Controller) take(seq uint64, kind ctrlchan.Kind) (request, bool) {
+	r, ok := c.pending[seq]
+	if !ok || r.kind != kind {
+		return request{}, false
+	}
+	delete(c.pending, seq)
+	return r, true
+}
+
+// inFlight reports whether ps has an unanswered attempt.
+func (c *Controller) inFlight(ps *pushState) bool {
+	_, ok := c.pending[ps.seq]
+	return ok
+}
+
+// timeout handles an attempt's deadline. Within the retry budget the
+// request is re-sent after a backoff. Past it, a collect marks its sink
+// missing; a refresh waits for the next periodic round (the watermark is
+// unchanged, so no data is lost, only delayed); and a push stays
+// unconfirmed, so the next refresh of the flow tries again even if the
+// derived value is unchanged.
+func (c *Controller) timeout(seq uint64, kind ctrlchan.Kind) {
+	r, ok := c.take(seq, kind)
+	if !ok {
+		return // answered in time
+	}
+	n, retries := &r.attempt, &c.Bytes.CollectRetries
+	//mars:partial a request is a collect, a refresh pull or a threshold push; the other kinds are replies and notifications
+	switch r.kind {
+	case ctrlchan.KindRefreshRequest:
+		retries = &c.Bytes.RefreshRetries
+	case ctrlchan.KindThresholdPush:
+		n, retries = &r.push.attempts, &c.Bytes.PushRetries
+	}
+	if *n >= c.Cfg.MaxRetries {
+		if col := r.col; col != nil {
+			delete(col.pending, r.sw)
+			col.missing = append(col.missing, r.sw)
+			if len(col.pending) == 0 {
+				c.finalizeCollection(col)
+			}
+		} else if r.kind == ctrlchan.KindRefreshRequest {
+			c.refreshPending[r.sw] = false
+		}
 		return
 	}
-	c.clock.After(c.Cfg.RequestTimeout, fn)
+	*n++
+	*retries++
+	c.Bytes.Retries++
+	c.clock.After(c.backoff(*n), func() {
+		if ps := r.push; ps != nil && (c.inFlight(ps) || ps.settled()) {
+			return // a fresh push or an ack overtook this retry
+		}
+		c.send(r)
+	})
 }
 
 // --- Switch-side agent ----------------------------------------------------
@@ -486,52 +575,17 @@ func (c *Controller) Refresh() {
 		if c.refreshPending[sw] {
 			continue
 		}
-		c.sendRefresh(sw, 0)
+		c.send(request{kind: ctrlchan.KindRefreshRequest, sw: sw})
 	}
-}
-
-// sendRefresh issues one refresh pull attempt to sw.
-func (c *Controller) sendRefresh(sw topology.NodeID, attempt int) {
-	c.refreshPending[sw] = true
-	seq := c.seq()
-	c.refreshSeqs[seq] = refreshReq{sw: sw, attempt: attempt}
-	c.Bytes.RequestBytes += ctrlchan.RefreshRequestBytes
-	c.tr.Send(ctrlchan.ToSwitch, ctrlchan.Message{
-		Kind: ctrlchan.KindRefreshRequest, Seq: seq, Switch: sw,
-		Watermark: c.lastSeen[sw], Wire: ctrlchan.RefreshRequestBytes,
-	}, c.deliverToSwitch)
-	c.armTimeout(
-		func() bool { _, ok := c.refreshSeqs[seq]; return ok },
-		func() { c.refreshTimeout(seq) })
-}
-
-// refreshTimeout retries an unanswered pull within the budget, else gives
-// up until the next periodic round (the watermark is unchanged, so no
-// data is lost — only delayed).
-func (c *Controller) refreshTimeout(seq uint64) {
-	req, ok := c.refreshSeqs[seq]
-	if !ok {
-		return // answered in time
-	}
-	delete(c.refreshSeqs, seq)
-	if req.attempt < c.Cfg.MaxRetries {
-		c.Bytes.Retries++
-		c.clock.After(c.backoff(req.attempt+1), func() {
-			c.sendRefresh(req.sw, req.attempt+1)
-		})
-		return
-	}
-	c.refreshPending[req.sw] = false
 }
 
 // onRefreshResponse feeds the reservoirs and pushes refreshed thresholds
 // for the flows this sink updated.
 func (c *Controller) onRefreshResponse(m ctrlchan.Message) {
-	req, ok := c.refreshSeqs[m.Seq]
+	req, ok := c.take(m.Seq, ctrlchan.KindRefreshRequest)
 	if !ok {
 		return // duplicate or post-timeout straggler
 	}
-	delete(c.refreshSeqs, m.Seq)
 	c.refreshPending[req.sw] = false
 
 	last := c.lastSeen[req.sw]
@@ -571,78 +625,30 @@ func (c *Controller) pushThreshold(flow dataplane.FlowID, th netsim.Time) {
 			c.pushes[k] = ps
 		}
 		ps.want = th
-		if ps.inFlight {
+		if c.inFlight(ps) {
 			continue // resolved on ack/timeout against the new want
 		}
-		if ps.haveConfirmed && ps.confirmed == th {
+		if ps.settled() {
 			continue // value didn't move: no push, no bytes
 		}
 		ps.attempts = 0
-		c.sendPush(k, ps)
-	}
-}
-
-// sendPush issues one push attempt carrying the latest wanted value.
-func (c *Controller) sendPush(k pushKey, ps *pushState) {
-	seq := c.seq()
-	ps.inFlight = true
-	ps.seq = seq
-	c.pushSeqs[seq] = k
-	c.Bytes.ThresholdPushBytes += dataplane.ThresholdPushBytes
-	c.tr.Send(ctrlchan.ToSwitch, ctrlchan.Message{
-		Kind: ctrlchan.KindThresholdPush, Seq: seq, Switch: k.sw,
-		Flow: k.flow, Threshold: ps.want, Wire: dataplane.ThresholdPushBytes,
-	}, c.deliverToSwitch)
-	c.armTimeout(
-		func() bool { _, ok := c.pushSeqs[seq]; return ok },
-		func() { c.pushTimeout(seq) })
-}
-
-// pushTimeout re-sends a lost push within the budget. Past the budget the
-// push state is left unconfirmed, so the next refresh of the flow tries
-// again even if the derived value is unchanged.
-func (c *Controller) pushTimeout(seq uint64) {
-	k, ok := c.pushSeqs[seq]
-	if !ok {
-		return
-	}
-	delete(c.pushSeqs, seq)
-	ps := c.pushes[k]
-	if ps == nil || !ps.inFlight || ps.seq != seq {
-		return
-	}
-	ps.inFlight = false
-	if ps.attempts < c.Cfg.MaxRetries {
-		ps.attempts++
-		c.Bytes.Retries++
-		c.clock.After(c.backoff(ps.attempts), func() {
-			if !ps.inFlight && !(ps.haveConfirmed && ps.confirmed == ps.want) {
-				c.sendPush(k, ps)
-			}
-		})
+		c.send(request{kind: ctrlchan.KindThresholdPush, sw: sw, flow: flow, push: ps})
 	}
 }
 
 // onThresholdAck marks the pushed value confirmed and chases a value that
 // moved while the push was in flight.
 func (c *Controller) onThresholdAck(m ctrlchan.Message) {
-	k, ok := c.pushSeqs[m.Seq]
+	req, ok := c.take(m.Seq, ctrlchan.KindThresholdPush)
 	if !ok {
 		return // duplicate ack
 	}
-	delete(c.pushSeqs, m.Seq)
-	ps := c.pushes[k]
-	if ps == nil {
-		return
-	}
+	ps := req.push
 	ps.confirmed = m.Threshold
 	ps.haveConfirmed = true
-	if ps.seq == m.Seq {
-		ps.inFlight = false
-	}
 	ps.attempts = 0
-	if ps.want != ps.confirmed && !ps.inFlight {
-		c.sendPush(k, ps)
+	if !ps.settled() {
+		c.send(req)
 	}
 }
 
@@ -730,64 +736,19 @@ func (c *Controller) startCollection(trigger dataplane.Notification) {
 		col.pending[sw] = true
 	}
 	for _, sw := range c.edgeSwitches {
-		c.sendCollect(col, sw, 0)
+		c.send(request{kind: ctrlchan.KindCollectRequest, sw: sw, col: col})
 	}
 }
 
-// sendCollect issues one collection request attempt to sw.
-func (c *Controller) sendCollect(col *collection, sw topology.NodeID, attempt int) {
-	if col.finished || !col.pending[sw] {
-		return
-	}
-	seq := c.seq()
-	c.collectSeqs[seq] = collectReq{col: col, sw: sw, attempt: attempt}
-	c.Bytes.RequestBytes += ctrlchan.CollectRequestBytes
-	c.tr.Send(ctrlchan.ToSwitch, ctrlchan.Message{
-		Kind: ctrlchan.KindCollectRequest, Seq: seq, Switch: sw,
-		Note: col.trigger, Wire: ctrlchan.CollectRequestBytes,
-	}, c.deliverToSwitch)
-	c.armTimeout(
-		func() bool { _, ok := c.collectSeqs[seq]; return ok },
-		func() { c.collectTimeout(seq) })
-}
-
-// collectTimeout retries an unanswered collection request, or marks the
-// sink missing once the budget is spent.
-func (c *Controller) collectTimeout(seq uint64) {
-	req, ok := c.collectSeqs[seq]
-	if !ok {
-		return
-	}
-	delete(c.collectSeqs, seq)
-	col := req.col
-	if col.finished || !col.pending[req.sw] {
-		return
-	}
-	if req.attempt < c.Cfg.MaxRetries {
-		c.Bytes.Retries++
-		c.clock.After(c.backoff(req.attempt+1), func() {
-			c.sendCollect(col, req.sw, req.attempt+1)
-		})
-		return
-	}
-	delete(col.pending, req.sw)
-	col.missing = append(col.missing, req.sw)
-	if len(col.pending) == 0 {
-		c.finalizeCollection(col)
-	}
-}
-
-// onCollectResponse folds one sink's snapshot into its collection.
+// onCollectResponse folds one sink's snapshot into its collection. A sink
+// has at most one attempt pending, so a claimed reply always finds its
+// sink still outstanding.
 func (c *Controller) onCollectResponse(m ctrlchan.Message) {
-	req, ok := c.collectSeqs[m.Seq]
+	req, ok := c.take(m.Seq, ctrlchan.KindCollectRequest)
 	if !ok {
 		return // duplicate or post-timeout straggler
 	}
-	delete(c.collectSeqs, m.Seq)
 	col := req.col
-	if col.finished || !col.pending[req.sw] {
-		return
-	}
 	delete(col.pending, req.sw)
 	col.records = append(col.records, m.Records...)
 	if m.Stamp > col.asOf {
@@ -810,7 +771,6 @@ func (c *Controller) recordBytes() int64 {
 // finalizeCollection runs the codec decoder over the collected snapshot
 // and hands the (possibly partial) diagnosis to RCA.
 func (c *Controller) finalizeCollection(col *collection) {
-	col.finished = true
 	c.Bytes.Diagnoses++
 	if len(col.missing) > 0 {
 		c.Bytes.PartialDiagnoses++

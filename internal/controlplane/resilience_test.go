@@ -180,3 +180,31 @@ func TestDuplicatedNotificationsDeduplicated(t *testing.T) {
 		t.Errorf("duplicate notifications = %d, want 1", e.ctrl.Bytes.DuplicateNotifications)
 	}
 }
+
+func TestRetriesSplitByKind(t *testing.T) {
+	// At 30% loss both ways every request kind needs retransmissions, and
+	// the per-kind counters partition the total.
+	e := newLossyEnv(t, 51, DefaultConfig(), ctrlchan.Lossy(0.3, 51))
+	for i := 0; i < 8; i++ {
+		f := &workload.Flow{
+			Src: e.ft.HostIDs[i], Dst: e.ft.HostIDs[(i+9)%len(e.ft.HostIDs)],
+			Key: netsim.FlowKey(i + 1), RatePPS: 200, Gaps: workload.GapConstant,
+			Start: 0, Stop: 2 * netsim.Second,
+		}
+		f.Install(e.sim)
+	}
+	for at := 600 * netsim.Millisecond; at < 2*netsim.Second; at += 600 * netsim.Millisecond {
+		e.sim.At(at, func() {
+			e.ctrl.Notify(dataplane.Notification{Kind: dataplane.NotifyHighLatency, Time: at})
+		})
+	}
+	e.sim.Run(2 * netsim.Second)
+	b := e.ctrl.Bytes
+	if b.CollectRetries == 0 || b.RefreshRetries == 0 || b.PushRetries == 0 {
+		t.Errorf("retries by kind = collect %d, refresh %d, push %d; want each > 0 at 30%% loss",
+			b.CollectRetries, b.RefreshRetries, b.PushRetries)
+	}
+	if sum := b.CollectRetries + b.RefreshRetries + b.PushRetries; sum != b.Retries {
+		t.Errorf("per-kind retries sum to %d, total is %d", sum, b.Retries)
+	}
+}

@@ -21,6 +21,7 @@ package ctrlchan
 
 import (
 	"math/rand"
+	"strconv"
 
 	"mars/internal/dataplane"
 	"mars/internal/netsim"
@@ -83,7 +84,7 @@ func (k Kind) String() string {
 	case KindThresholdAck:
 		return "threshold-ack"
 	default:
-		return "threshold-ack"
+		return "kind(" + strconv.Itoa(int(k)) + ")"
 	}
 }
 

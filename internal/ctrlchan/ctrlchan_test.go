@@ -162,3 +162,26 @@ func TestLossyConfigShape(t *testing.T) {
 		t.Error("zero DirConfig must be perfect")
 	}
 }
+
+func TestKindNamesAreDistinct(t *testing.T) {
+	// Every kind has its own name, and an out-of-range kind (a corrupt or
+	// newer frame) must not print as one of them.
+	names := map[string]Kind{}
+	for k := KindNotification; k <= KindThresholdAck; k++ {
+		if prev, dup := names[k.String()]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, k.String())
+		}
+		names[k.String()] = k
+	}
+	if len(names) != 7 {
+		t.Errorf("%d distinct kind names, want 7", len(names))
+	}
+	for _, k := range []Kind{KindThresholdAck + 1, 255} {
+		if real, alias := names[k.String()]; alias {
+			t.Errorf("out-of-range kind %d prints as %q, the name of kind %d", k, k.String(), real)
+		}
+	}
+	if got := Kind(9).String(); got != "kind(9)" {
+		t.Errorf("Kind(9) = %q, want kind(9)", got)
+	}
+}

@@ -1,7 +1,6 @@
 package deploy
 
 import (
-	"fmt"
 	"net"
 
 	"mars/internal/ctrlchan"
@@ -24,11 +23,8 @@ type SwitchNode struct {
 	tr       *ctrlchan.UDPTransport
 
 	// logs holds each hosted sink's cumulative record history.
-	logs map[topology.NodeID][]dataplane.RTRecord
-	// thresholds tracks pushed per-switch per-flow thresholds (the
-	// deployment's observable effect of the push path).
-	thresholds map[string]netsim.Time
-	nextSeq    uint64
+	logs    map[topology.NodeID][]dataplane.RTRecord
+	nextSeq uint64
 
 	// thresholdPushes counts accepted pushes; notesSent counts replayed
 	// notifications. Loop-owned: read them through Counts.
@@ -47,12 +43,11 @@ func (s *SwitchNode) Counts() (notes, pushes int) {
 // the hosted switch IDs; controller is the controller process's address.
 func NewSwitchNode(cap *Capture, switches []topology.NodeID, conn *net.UDPConn, controller *net.UDPAddr) *SwitchNode {
 	s := &SwitchNode{
-		cap:        cap,
-		switches:   switches,
-		hosted:     make(map[topology.NodeID]bool, len(switches)),
-		loop:       rtclock.New(),
-		logs:       make(map[topology.NodeID][]dataplane.RTRecord),
-		thresholds: make(map[string]netsim.Time),
+		cap:      cap,
+		switches: switches,
+		hosted:   make(map[topology.NodeID]bool, len(switches)),
+		loop:     rtclock.New(),
+		logs:     make(map[topology.NodeID][]dataplane.RTRecord),
 	}
 	for _, sw := range switches {
 		s.hosted[sw] = true
@@ -122,7 +117,6 @@ func (s *SwitchNode) handle(m ctrlchan.Message) {
 	case ctrlchan.KindRefreshRequest:
 		s.onRefresh(m)
 	case ctrlchan.KindThresholdPush:
-		s.thresholds[fmt.Sprintf("s%d/f%d-%d", m.Switch, m.Flow.Src, m.Flow.Sink)] = m.Threshold
 		s.thresholdPushes++
 		s.tr.Send(ctrlchan.ToController, ctrlchan.Message{
 			Kind: ctrlchan.KindThresholdAck, Seq: m.Seq, Switch: m.Switch,

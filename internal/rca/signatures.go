@@ -302,10 +302,6 @@ func (a *Analyzer) ecmpUpstream(fs *flowStats, sub []topology.NodeID) (topology.
 	return best, found
 }
 
-// DebugTrace, when set, receives per-(pattern, flow) signature inputs.
-// Test-only instrumentation.
-var DebugTrace func(flow dataplane.FlowID, sub []topology.NodeID, peak uint32, base float64, epochs int, qmed, baseQ float64)
-
 // analyzeLatency is the high-latency diagnosis path (§4.4.1-4.4.4).
 func (a *Analyzer) analyzeLatency(d controlplane.Diagnosis) []Culprit {
 	est := a.estimate(d.Records)
@@ -402,10 +398,6 @@ func (a *Analyzer) analyzeLatency(d controlplane.Diagnosis) []Culprit {
 		for _, flow := range det.KeysFunc(flowPkts, flowLess) {
 			cnt := flowPkts[flow]
 			fs := stats[flow]
-			if DebugTrace != nil {
-				peak, base := fs.peakAndBaseline()
-				DebugTrace(flow, sp.sub, peak, base, len(fs.epochCounts), fs.abnormalQueueMedian(), baseQ)
-			}
 			if a.isBursty(fs, sinkRanges[flow.Sink], globalMed) {
 				burstFound = true
 				culprits = append(culprits, Culprit{
